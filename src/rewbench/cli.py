@@ -81,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: the input's own order)")
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property checks")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for probe-all and "
                              "dehn-profile")

@@ -164,10 +164,12 @@ def probe_congruence(system: RewritingSystem, seed: tuple[Element, Element],
             for side, px, py in derived:
                 if px == py:
                     continue
-                if in_ball(px) and in_ball(py):
-                    queue.append((px, py, idx, (side, g)))
-                else:
+                if not (in_ball(px) and in_ball(py)):
                     truncated += 1
+                # Unions only grow: a pair joined now would be skipped later.
+                elif not (px in parent and py in parent
+                          and _find(parent, px) == _find(parent, py)):
+                    queue.append((px, py, idx, (side, g)))
     return ProbeResult(False, None, universe_size - merges,
                        truncated, merges, universe_size, radius)
 

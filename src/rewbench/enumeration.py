@@ -1,10 +1,11 @@
 """Normal-form enumeration and growth counting.
 
-A word is a normal form exactly when no rule lhs occurs in it, and the
-set of normal forms is suffix-closed on the left: w g is a normal form
-iff w is one and no lhs is a suffix of w g.  Levels are therefore built
-by single-letter extension of the previous level, which also yields the
-required output order (length first, then letter precedence).
+A word is a normal form exactly when no rule lhs occurs in it, that is
+when the system's factor matcher reads it along ``safe_moves`` alone:
+those moves form a finite automaton for the normal forms.  Growth
+counts step a vector of word counts per automaton state once per
+length; listing extends each (word, state) pair of a level by the safe
+letters in precedence order, which keeps shortlex order.
 """
 
 from __future__ import annotations
@@ -25,41 +26,18 @@ class GrowthSeries:
         return sum(self.counts)
 
 
-def _lhs_by_length(system: RewritingSystem) -> list[tuple[int, frozenset[str]]]:
-    groups: dict[int, set[str]] = {}
-    for rule in system.rules:
-        groups.setdefault(len(rule.lhs), set()).add(rule.lhs)
-    return sorted((n, frozenset(s)) for n, s in groups.items())
-
-
-def _levels(system: RewritingSystem, max_len: int) -> Iterator[list[str]]:
-    """Yields the normal forms of length 0, 1, ..., max_len as lists.
-
-    Each level is in precedence-lexicographic order because the
-    previous level is and letters are appended in precedence order.
-    """
-    groups = _lhs_by_length(system)
-    letters = system.alphabet.precedence
-    level = [""]
-    yield level
-    for length in range(1, max_len + 1):
-        nxt: list[str] = []
-        for stem in level:
-            for g in letters:
-                word = stem + g
-                if any(length >= n and word[-n:] in lhss for n, lhss in groups):
-                    continue
-                nxt.append(word)
-        yield nxt
-        level = nxt
-
-
 def iter_normal_forms(system: RewritingSystem, max_len: int) -> Iterator[str]:
     """All normal forms of length <= max_len, shortlex order."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    for level in _levels(system, max_len):
-        yield from level
+    moves = system.matcher.safe_moves(system.alphabet.precedence)
+    level = [("", 0)]
+    yield ""
+    for _ in range(max_len):
+        level = [(word + g, target) for word, state in level
+                 for g, target in moves[state]]
+        for word, _ in level:
+            yield word
 
 
 def enumerate_normal_forms(system: RewritingSystem, max_len: int) -> list[str]:
@@ -70,4 +48,14 @@ def growth_series(system: RewritingSystem, max_len: int) -> GrowthSeries:
     """Per-length counts of normal forms up to max_len."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    return GrowthSeries(tuple(len(lvl) for lvl in _levels(system, max_len)))
+    moves = system.matcher.safe_moves(system.alphabet.letters)
+    vector = {0: 1}
+    counts = [1]
+    for _ in range(max_len):
+        nxt: dict[int, int] = {}
+        for state, count in vector.items():
+            for _, target in moves[state]:
+                nxt[target] = nxt.get(target, 0) + count
+        vector = nxt
+        counts.append(sum(vector.values()))
+    return GrowthSeries(tuple(counts))

@@ -70,8 +70,18 @@ class FactorMatcher:
                     fail[nxt] = goto[fail[state]][ch]
                     queue.append(nxt)
         self._goto = goto
-        # Occurrences ending at a state, sorted by pattern index.
-        self._out: list[tuple[int, ...]] = [tuple(sorted(o)) for o in out]
+        # Occurrences ending at a state, longest pattern first, then by
+        # pattern index: a state's own patterns come first, in index
+        # order, and are longer than those its failure state adds.
+        self._out: list[tuple[int, ...]] = [tuple(o) for o in out]
+
+    def safe_moves(self, letters: str) -> list[list[tuple[str, int]]]:
+        """Per state, the (letter, target) moves, in the order of ``letters``,
+        whose target is a state where no pattern ends.  From state 0 these
+        moves read exactly the words in which no pattern occurs."""
+        out = self._out
+        return [[(ch, row[ch]) for ch in letters if not out[row[ch]]]
+                for row in self._goto]
 
     def occurrences(self, word: str, start: int = 0) -> Iterator[tuple[int, int]]:
         """Yields (position, pattern_index) for every occurrence with
@@ -81,10 +91,8 @@ class FactorMatcher:
         state = 0
         for end, ch in enumerate(word[start:], start):
             state = goto[state][ch]
-            hits = out[state]
-            if hits:
-                for idx in hits:
-                    yield end - len(self.patterns[idx]) + 1, idx
+            for idx in sorted(out[state]):
+                yield end - len(self.patterns[idx]) + 1, idx
 
     def first_match(self, word: str, start: int = 0) -> Optional[tuple[int, int]]:
         """Leftmost occurrence with position >= start.
@@ -92,34 +100,34 @@ class FactorMatcher:
         Ties at the same position are broken by longest pattern, then by
         lowest pattern index.  Returns (position, pattern_index) or None.
         """
+        goto = self._goto
+        out = self._out
         patterns = self.patterns
-        best: Optional[tuple[int, int, int]] = None
-        for pos, idx in self.occurrences(word, start):
-            cand = (pos, -len(patterns[idx]), idx)
-            if best is None or cand < best:
-                best = cand
-            # Occurrences arrive in end-position order.  Once the scan has
-            # passed best_pos + max_len - 1 no later match can start at or
-            # before best_pos, so the current best is final.
-            elif pos - self.max_len + 1 > best[0]:
-                break
-        if best is None:
-            return None
-        return best[0], best[2]
+        best: Optional[tuple[int, int]] = None
+        state = 0
+        end = start
+        stop = len(word)
+        while end < stop:
+            state = goto[state][word[end]]
+            hits = out[state]
+            if hits:
+                # hits[0] starts leftmost among the hits ending here.  A
+                # later hit at the same position is a longer pattern, and
+                # none ending past pos + max_len - 1 starts at or before pos.
+                pos = end - len(patterns[hits[0]]) + 1
+                if best is None or pos <= best[0]:
+                    best = pos, hits[0]
+                    stop = min(stop, pos + self.max_len)
+            end += 1
+        return best
 
     def contains(self, word: str) -> bool:
         """True when any pattern occurs in word."""
-        for _ in self.occurrences(word):
-            return True
+        goto = self._goto
+        out = self._out
+        state = 0
+        for ch in word:
+            state = goto[state][ch]
+            if out[state]:
+                return True
         return False
-
-
-def naive_occurrences(patterns: list[str], word: str) -> list[tuple[int, int]]:
-    """Reference scan used to validate FactorMatcher: every (position,
-    pattern_index) occurrence by direct string comparison."""
-    hits = []
-    for idx, pat in enumerate(patterns):
-        for pos in range(len(word) - len(pat) + 1):
-            if word[pos : pos + len(pat)] == pat:
-                hits.append((pos, idx))
-    return hits

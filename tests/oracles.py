@@ -8,6 +8,7 @@ bidirectional search, no move pruning.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from typing import Optional, Union
@@ -104,6 +105,25 @@ def bfs_distance(p: Presentation, u: Element, v: Element,
                 nxt.append(nb)
         frontier = nxt
     return None
+
+
+def naive_occurrences(patterns: list[str], word: str) -> list[tuple[int, int]]:
+    """Every (position, pattern_index) occurrence by direct comparison."""
+    hits = []
+    for idx, pat in enumerate(patterns):
+        for pos in range(len(word) - len(pat) + 1):
+            if word[pos : pos + len(pat)] == pat:
+                hits.append((pos, idx))
+    return hits
+
+
+def brute_normal_forms(precedence: str, forbidden: list[str],
+                       max_len: int) -> list[str]:
+    """Words of length <= max_len with no forbidden factor, in shortlex
+    order by precedence, by filtering every word."""
+    words = ("".join(t) for n in range(max_len + 1)
+             for t in itertools.product(precedence, repeat=n))
+    return [w for w in words if not any(f in w for f in forbidden)]
 
 
 def count_avoiding(letters: str, forbidden: list[str],

@@ -264,7 +264,7 @@ def test_input_errors(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("generators: a b\nab = ba\n")
     code, _, err = run(capsys, "--file", str(bad), "normalize", "a")
-    assert code == 3 and "line 2" in err or "relations" in err
+    assert code == 3 and ("line 2" in err or "relations" in err)
     code, _, err = run(capsys, "--format", "csv", "--catalog", "M2",
                        "normalize", "a")
     assert code == 3 and "csv" in err

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -132,3 +133,36 @@ def test_probe_all_jobs_deterministic():
     parallel = probe_all_pairs(system, 2, 7, jobs=2)
     assert serial.rows == parallel.rows
     assert serial.collapsed_count == parallel.collapsed_count
+
+
+# (entry, u, v, radius) -> (collapsed, merges, truncated, class_count,
+# trace length), plus a digest of every result's repr, frozen from the
+# probe that enqueued every derived pair inside the ball.  Skipping
+# pairs already joined must not change merge order, traces or counts.
+FROZEN_PROBES = {
+    ("M1", "a", "b", 7): (True, 48, 0, 1746, 1),
+    ("M1", "c", "d", 7): (True, 41, 0, 1753, 2),
+    ("M1", "a", "", 7): (True, 20, 0, 1774, 1),
+    ("M1", "d", ZERO, 7): (True, 5, 0, 1789, 1),
+    ("M2", "ab", "ba", 6): (True, 15, 0, 1156, 2),
+    ("M2", "cd", "a", 6): (True, 13, 0, 1158, 1),
+    ("M2", "ab", "ba", 3): (True, 11, 42, 46, 2),
+    ("M1", "aa", "b", 3): (True, 24, 88, 26, 2),
+    ("M1", "c", "d", 2): (True, 16, 72, 2, 2),
+    ("M2", "b", "d", 2): (False, 16, 88, 3, 0),
+    ("dehn-example", "a", "b", 2): (False, 7, 44, 13, 0),
+    ("dehn-example", "ac", "bc", 9): (True, 9595, 17451, 23621, 2),
+}
+FROZEN_PROBES_DIGEST = \
+    "61e4aa28bef046e1fd4b84148a78170eb70309dee7b827f2765b6a529cf8dee9"
+
+
+def test_frozen_probe_results():
+    digest = hashlib.sha256()
+    for (name, u, v, radius), expected in FROZEN_PROBES.items():
+        r = probe_congruence(get_entry(name).system, (u, v), radius)
+        trace_len = len(r.trace.path) if r.trace else 0
+        assert (r.collapsed, r.merges, r.truncated, r.class_count,
+                trace_len) == expected, (name, u, v, radius)
+        digest.update(repr(r).encode())
+    assert digest.hexdigest() == FROZEN_PROBES_DIGEST

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
-from oracles import count_avoiding
-from rewbench.catalog import get_entry
-from rewbench.core import Alphabet, Rule, RewritingSystem, normalize
+from oracles import brute_normal_forms, count_avoiding
+from rewbench.catalog import get_entry, list_catalog
+from rewbench.core import ZERO, Alphabet, Rule, RewritingSystem, normalize
 from rewbench.enumeration import (
     enumerate_normal_forms,
     growth_series,
@@ -22,12 +24,39 @@ def test_total():
     assert series.total() == 56
 
 
+def _random_systems():
+    """Seeded random rule sets, including an empty one and ones with
+    duplicate left-hand sides."""
+    rng = random.Random(13)
+    yield RewritingSystem(Alphabet("abc", "cab"), [])
+    for _ in range(40):
+        letters = "abcd"[:rng.randrange(1, 5)]
+        lhss = ["".join(rng.choice(letters)
+                        for _ in range(rng.randrange(1, 5)))
+                for _ in range(rng.randrange(1, 6))]
+        lhss.append(rng.choice(lhss))
+        precedence = "".join(rng.sample(letters, len(letters)))
+        yield RewritingSystem(Alphabet(letters, precedence),
+                              [Rule(lhs, ZERO) for lhs in lhss])
+
+
+def _catalog_and_random_systems():
+    yield from (entry.system for entry in list_catalog())
+    yield from _random_systems()
+
+
 def test_matches_factor_avoidance_oracle():
-    for name in ("M1", "M2", "M3", "dehn-example"):
-        system = get_entry(name).system
+    for system in _catalog_and_random_systems():
         patterns = [r.lhs for r in system.rules]
-        expected = count_avoiding(system.alphabet.letters, patterns, 6)
-        assert list(growth_series(system, 6).counts) == expected
+        expected = count_avoiding(system.alphabet.letters, patterns, 30)
+        assert list(growth_series(system, 30).counts) == expected
+
+
+def test_listing_matches_brute_force_filter():
+    for system in _catalog_and_random_systems():
+        patterns = [r.lhs for r in system.rules]
+        assert enumerate_normal_forms(system, 5) == brute_normal_forms(
+            system.alphabet.precedence, patterns, 5)
 
 
 def test_normal_forms_are_exactly_the_irreducible_words():

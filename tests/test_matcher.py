@@ -1,6 +1,7 @@
 import random
 
-from rewbench.matcher import FactorMatcher, naive_occurrences
+from oracles import naive_occurrences
+from rewbench.matcher import FactorMatcher
 
 
 def test_single_pattern_occurrences():
@@ -63,3 +64,27 @@ def test_matches_naive_on_random_words():
                        for _ in range(rng.randrange(0, 15)))
         assert sorted(m.occurrences(word)) == sorted(
             naive_occurrences(patterns, word))
+
+
+def test_first_match_and_contains_agree_with_naive_scan():
+    # Pattern sets drawn from a small pool, so duplicates and patterns
+    # that are factors of other patterns both occur; starts run past
+    # the end of the word.
+    rng = random.Random(11)
+    letters = "abc"
+    pool = ["a", "b", "ab", "ba", "aba", "abab", "bb", "cab", "abc", "c"]
+    for _ in range(400):
+        patterns = [rng.choice(pool) for _ in range(rng.randrange(0, 6))]
+        m = FactorMatcher(letters, patterns)
+        word = "".join(rng.choice(letters)
+                       for _ in range(rng.randrange(0, 14)))
+        occ = naive_occurrences(patterns, word)
+        assert m.contains(word) == bool(occ)
+        for start in range(len(word) + 3):
+            cands = [(pos, -len(patterns[idx]), idx)
+                     for pos, idx in occ if pos >= start]
+            expected = min(cands, default=None)
+            if expected is not None:
+                expected = expected[0], expected[2]
+            assert m.first_match(word, start) == expected
+
