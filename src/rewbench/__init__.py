@@ -18,7 +18,6 @@ from .core import (
     ShortlexOrder,
     StepBudgetExceededError,
     UnorientableRelationError,
-    check_termination,
     dump_presentation,
     equal_in_monoid,
     format_element,
@@ -110,7 +109,6 @@ __all__ = [
     "build_dehn_example",
     "build_mn",
     "check_local_confluence",
-    "check_termination",
     "critical_pairs",
     "dehn_area",
     "dehn_profile",

@@ -15,11 +15,11 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional
 
-from .catalog import CatalogEntry, get_entry, list_catalog
+from .catalog import _MN_NAME, CatalogEntry, get_entry, list_catalog
 from .completion import (
     CompletionLimits,
     check_local_confluence,
@@ -57,8 +57,6 @@ MAX_CLI_N = 64
 
 FALLBACK_CLI_STEPS = 100_000
 
-_MN_NAME = re.compile(r"^M(\d+)$")
-
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INPUT):
@@ -83,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="text", help="output format")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for probe-all and "
-                             "dehn-profile")
+                             "dehn-profile (capped at the CPU count and "
+                             "the number of tasks)")
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
     p = sub.add_parser("normalize", help="normal form of a word")
@@ -650,6 +649,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code
     except StepBudgetExceededError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_UNDETERMINED
+    except BrokenProcessPool:
+        sys.stderr.write("error: a worker process died\n")
+        return EXIT_UNDETERMINED
+    except KeyboardInterrupt:
+        sys.stderr.write("error: interrupted\n")
         return EXIT_UNDETERMINED
 
 

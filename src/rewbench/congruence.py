@@ -13,13 +13,21 @@ that the quotient stays nontrivial on the ball.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .core import ZERO, Element, RewritingSystem, is_zero, normalize, product
+from .core import (
+    ZERO,
+    Element,
+    RewritingSystem,
+    codepoint_key,
+    is_zero,
+    normalize,
+    product,
+)
 from .enumeration import enumerate_normal_forms, growth_series
+from .parallel import parallel_map
 
 Move = tuple[str, str]  # ("L" | "R", letter)
 
@@ -230,26 +238,10 @@ def replay_trace(system: RewritingSystem, trace: CollapseTrace) -> bool:
     return is_zero(cur)
 
 
-def _element_sort_key(e: Element):
-    if is_zero(e):
-        return (-1, "")
-    return (len(e), e)
-
-
-_WORKER_STATE: dict = {}
-
-
-def _probe_worker_init(system: RewritingSystem, radius: int,
-                       universe_size: int) -> None:
-    _WORKER_STATE["system"] = system
-    _WORKER_STATE["radius"] = radius
-    _WORKER_STATE["universe"] = universe_size
-
-
-def _probe_worker(seed: tuple[Element, Element]) -> ProbeRow:
-    result = probe_congruence(_WORKER_STATE["system"], seed,
-                              _WORKER_STATE["radius"],
-                              _WORKER_STATE["universe"])
+def _probe_row(shared: tuple[RewritingSystem, int, int],
+               seed: tuple[Element, Element]) -> ProbeRow:
+    system, radius, universe = shared
+    result = probe_congruence(system, seed, radius, universe)
     trace_len = len(result.trace.path) if result.trace else 0
     return ProbeRow(seed[0], seed[1], result.collapsed, trace_len,
                     result.truncated)
@@ -262,8 +254,9 @@ def probe_all_pairs(system: RewritingSystem, max_seed_len: int, radius: int,
     Seeds are the normal forms of length <= max_seed_len, plus ZERO
     when the system can reach it.  Pairs are processed shortest total
     seed length first (ZERO counts as length 0), so a collapse shows up
-    at a minimal seed.  ``jobs`` > 1 fans pairs out to worker processes;
-    the row order is independent of the worker count.
+    at a minimal seed.  ``jobs`` > 1 fans pairs out to worker processes,
+    at most one per CPU and per pair; the row order is independent of
+    the worker count.
     """
     elements: list[Element] = []
     if _has_zero(system):
@@ -271,21 +264,14 @@ def probe_all_pairs(system: RewritingSystem, max_seed_len: int, radius: int,
     elements.extend(enumerate_normal_forms(system, max_seed_len))
 
     def pair_key(p: tuple[Element, Element]):
-        ku, kv = _element_sort_key(p[0]), _element_sort_key(p[1])
+        ku, kv = codepoint_key(p[0]), codepoint_key(p[1])
         return (max(ku[0], 0) + max(kv[0], 0), ku, kv)
 
     pairs = sorted(combinations(elements, 2), key=pair_key)
     universe = growth_series(system, radius).total() \
         + (1 if _has_zero(system) else 0)
-    if jobs > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs,
-                                 initializer=_probe_worker_init,
-                                 initargs=(system, radius, universe)) as pool:
-            chunk = max(1, len(pairs) // (jobs * 8))
-            rows = tuple(pool.map(_probe_worker, pairs, chunksize=chunk))
-    else:
-        _probe_worker_init(system, radius, universe)
-        rows = tuple(_probe_worker(p) for p in pairs)
+    rows = tuple(parallel_map(_probe_row, (system, radius, universe),
+                              pairs, jobs))
     collapsed = sum(1 for r in rows if r.collapsed)
     undet = [r for r in rows if not r.collapsed]
     return ProbeSummary(

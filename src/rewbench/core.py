@@ -54,6 +54,15 @@ def is_zero(x: Element) -> bool:
     return x is ZERO
 
 
+def codepoint_key(x: Element) -> tuple[int, str]:
+    """Sort key: zero first, then words by length, then by code point.
+
+    Unlike ``ShortlexOrder.key`` it ignores the letter precedence, so
+    an order built on it is the same under every orientation.
+    """
+    return (-1, "") if x is ZERO else (len(x), x)
+
+
 def format_element(x: Element) -> str:
     """Display form: "1" for the empty word, "0" for zero."""
     if x is ZERO:
@@ -259,9 +268,11 @@ class RewritingSystem:
     """Immutable ordered rule list with a precompiled factor matcher.
 
     ``terminating`` records whether every rule strictly decreases the
-    shortlex order (a zero rhs always counts as decreasing).  Systems
-    that fail this check can still be constructed, but normalize()
-    demands an explicit step budget for them.
+    shortlex order (a zero rhs always counts as decreasing).  The check
+    is sound but not complete: False means this cheap certificate
+    failed, not that the system necessarily loops.  All catalog systems
+    pass it.  Systems that fail it can still be constructed, but
+    normalize() demands an explicit step budget for them.
     """
 
     def __init__(self, alphabet: Alphabet, rules: Iterable[Rule]):
@@ -280,16 +291,6 @@ class RewritingSystem:
     def __repr__(self) -> str:
         body = ", ".join(str(r) for r in self.rules)
         return f"RewritingSystem({self.alphabet.letters!r}, [{body}])"
-
-
-def check_termination(system: RewritingSystem) -> bool:
-    """True when every rule is strictly decreasing under shortlex.
-
-    Sound but not complete: a False answer means this cheap certificate
-    failed, not that the system necessarily loops.  All catalog systems
-    pass the check.
-    """
-    return system.terminating
 
 
 def orient(p: Presentation, precedence: str = "") -> RewritingSystem:

@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 import statistics
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Hashable, Optional
 
 from .completion import check_local_confluence
 from .core import (
@@ -33,11 +33,13 @@ from .core import (
     Presentation,
     RewritingSystem,
     UnorientableRelationError,
+    codepoint_key,
     is_zero,
     normalize,
     orient,
 )
 from .matcher import FactorMatcher
+from .parallel import parallel_map
 
 AREA = "area"
 NOT_EQUAL = "not-equal"
@@ -116,27 +118,28 @@ class _SearchLimit(Exception):
     pass
 
 
-def _bidi_search(u: Element, v: Element, moves: list[tuple[str, Element]],
-                 max_len: int, max_nodes: int,
-                 ) -> Optional[tuple[int, tuple[Element, ...]]]:
-    """Distance and one geodesic between u and v, or None.
+def _bidi_search(u: Hashable, v: Hashable,
+                 neighbors: Callable[[Hashable], list], budget: int,
+                 ) -> Optional[tuple[int, Hashable, dict, dict]]:
+    """Distance between u and v, the vertex where the searches met, and
+    each side's parent map; None when the searches never meet.
 
     Expands the smaller frontier a full level at a time; a recorded
     meet total T is final once T <= df + db, since by then some vertex
-    of a true geodesic has been reached from both sides.  None means
-    the ball inside max_len was exhausted without a meet.  Raises
-    _SearchLimit when max_nodes is exceeded.
+    of a true geodesic has been reached from both sides.  The ZERO
+    vertex is recorded but never expanded.  Raises _SearchLimit once
+    more than ``budget`` vertices have been reached.
     """
     if u == v:
-        return 0, (u,)
-    dist_f: dict[Element, int] = {u: 0}
-    dist_b: dict[Element, int] = {v: 0}
-    par_f: dict[Element, Element] = {}
-    par_b: dict[Element, Element] = {}
-    frontier_f: list[Element] = [] if is_zero(u) else [u]
-    frontier_b: list[Element] = [] if is_zero(v) else [v]
+        return 0, u, {}, {}
+    dist_f: dict = {u: 0}
+    dist_b: dict = {v: 0}
+    par_f: dict = {}
+    par_b: dict = {}
+    frontier_f: list = [] if u is ZERO else [u]
+    frontier_b: list = [] if v is ZERO else [v]
     df = db = 0
-    best: Optional[tuple[int, Element]] = None
+    best: Optional[tuple[int, Hashable]] = None
     nodes = 2
     while frontier_f and frontier_b:
         if best is not None and best[0] <= df + db:
@@ -147,15 +150,15 @@ def _bidi_search(u: Element, v: Element, moves: list[tuple[str, Element]],
         dist_other = dist_b if forward else dist_f
         par_self = par_f if forward else par_b
         d_new = (df if forward else db) + 1
-        nxt: list[Element] = []
+        nxt: list = []
         for node in frontier:
-            for nb in _word_neighbors(node, moves, max_len):
+            for nb in neighbors(node):
                 if nb in dist_self:
                     continue
                 dist_self[nb] = d_new
                 par_self[nb] = node
                 nodes += 1
-                if nodes > max_nodes:
+                if nodes > budget:
                     raise _SearchLimit
                 if nb in dist_other:
                     total = d_new + dist_other[nb]
@@ -169,16 +172,7 @@ def _bidi_search(u: Element, v: Element, moves: list[tuple[str, Element]],
             frontier_b, db = nxt, d_new
     if best is None:
         return None
-    total, meet = best
-    left: list[Element] = [meet]
-    while left[-1] != u:
-        left.append(par_f[left[-1]])
-    left.reverse()
-    right: list[Element] = [meet]
-    while right[-1] != v:
-        right.append(par_b[right[-1]])
-    chain = tuple(left + right[1:])
-    return total, chain
+    return best[0], best[1], par_f, par_b
 
 
 def dehn_area(p: Presentation, u: str, v: str, *,
@@ -208,17 +202,25 @@ def dehn_area(p: Presentation, u: str, v: str, *,
         system = candidate
     if system is not None and normalize(system, u) != normalize(system, v):
         return AreaResult(NOT_EQUAL)
-    moves = _relation_moves(p)
+    neighbors = partial(_word_neighbors, moves=_relation_moves(p),
+                        max_len=max_len)
     try:
-        found = _bidi_search(u, v, moves, max_len, max_nodes)
+        found = _bidi_search(u, v, neighbors, max_nodes)
     except _SearchLimit:
         return AreaResult(RESOURCE_LIMIT, reason="max_nodes")
     if found is None:
         reason = "max_len exhausted without meeting" if system is None \
             else "equal, but no derivation within max_len"
         return AreaResult(RESOURCE_LIMIT, reason=reason)
-    steps, chain = found
-    return AreaResult(AREA, steps=steps, derivation=chain)
+    steps, meet, par_f, par_b = found
+    left: list[Element] = [meet]
+    while left[-1] != u:
+        left.append(par_f[left[-1]])
+    left.reverse()
+    right: list[Element] = [meet]
+    while right[-1] != v:
+        right.append(par_b[right[-1]])
+    return AreaResult(AREA, steps=steps, derivation=tuple(left + right[1:]))
 
 
 @dataclass(frozen=True)
@@ -270,8 +272,15 @@ def _all_words(alphabet_letters: str, max_len: int) -> list[str]:
     return words
 
 
-def _pair_token(w: str) -> tuple[int, str]:
-    return (len(w), w)
+def _keep_best(best_by_m: dict[int, tuple[int, str, str]], m: int, d: int,
+               u: str, v: str) -> None:
+    """Keeps the pair with the larger area per m; equal areas go to the
+    smaller (codepoint_key(u), codepoint_key(v))."""
+    cur = best_by_m.get(m)
+    if cur is None or d > cur[0] or (d == cur[0] and (
+            codepoint_key(u), codepoint_key(v)) < (
+            codepoint_key(cur[1]), codepoint_key(cur[2]))):
+        best_by_m[m] = (d, u, v)
 
 
 @dataclass
@@ -292,11 +301,7 @@ class _ClassOutcome:
 
     def record(self, m: int, d: int, u: str, v: str) -> None:
         self.resolved += 1
-        cur = self.best_by_m.get(m)
-        if cur is None or d > cur[0] or (d == cur[0] and (
-                _pair_token(u), _pair_token(v)) < (
-                _pair_token(cur[1]), _pair_token(cur[2]))):
-            self.best_by_m[m] = (d, u, v)
+        _keep_best(self.best_by_m, m, d, u, v)
 
     def record_limited(self, m: int) -> None:
         self.limited_by_m[m] = self.limited_by_m.get(m, 0) + 1
@@ -350,44 +355,25 @@ def _bfs_adjacency(adj: list[list[int]], source: int) -> list[int]:
     return dist
 
 
-def _bidi_adjacency(adj: list[list[int]], a: int, b: int,
-                    budget: int) -> Optional[int]:
-    """Distance between two vertices of a connected class graph."""
-    if a == b:
-        return 0
-    dist_a = {a: 0}
-    dist_b = {b: 0}
-    fa, fb = [a], [b]
-    da = db = 0
-    best: Optional[int] = None
-    nodes = 2
-    while fa and fb:
-        if best is not None and best <= da + db:
-            return best
-        forward = len(fa) <= len(fb)
-        frontier = fa if forward else fb
-        dist_self = dist_a if forward else dist_b
-        dist_other = dist_b if forward else dist_a
-        d_new = (da if forward else db) + 1
-        nxt: list[int] = []
-        for i in frontier:
-            for j in adj[i]:
-                if j in dist_self:
-                    continue
-                dist_self[j] = d_new
-                nodes += 1
-                if nodes > budget:
-                    return None
-                if j in dist_other:
-                    total = d_new + dist_other[j]
-                    if best is None or total < best:
-                        best = total
-                nxt.append(j)
-        if forward:
-            fa, da = nxt, d_new
-        else:
-            fb, db = nxt, d_new
-    return best
+def _resolve_pairs(out: _ClassOutcome, ordered: list[str], n_max: int,
+                   vertex: Callable[[str], Hashable],
+                   neighbors: Callable[[Hashable], list],
+                   budget: int) -> None:
+    """One bidirectional search per pair of ``ordered`` with total
+    length <= n_max; ``vertex`` maps a word to its graph vertex."""
+    for i, u in enumerate(ordered):
+        for v in ordered[i + 1:]:
+            m = len(u) + len(v)
+            if m > n_max:
+                continue
+            try:
+                found = _bidi_search(vertex(u), vertex(v), neighbors, budget)
+            except _SearchLimit:
+                found = None
+            if found is None:
+                out.record_limited(m)
+            else:
+                out.record(m, found[0], u, v)
 
 
 def _resolve_nonzero_class(nf: str, members: list[str], n_max: int,
@@ -408,21 +394,10 @@ def _resolve_nonzero_class(nf: str, members: list[str], n_max: int,
     deep_threshold = n_max - half - 1
     min_len = len(nf)
     if min_len > deep_threshold:
-        ordered = sorted(members, key=_pair_token)
-        for i, u in enumerate(ordered):
-            for v in ordered[i + 1:]:
-                m = len(u) + len(v)
-                if m > n_max:
-                    continue
-                try:
-                    found = _bidi_search(u, v, moves, max_len,
-                                         limits.max_pair_nodes)
-                except _SearchLimit:
-                    found = None
-                if found is None:
-                    out.record_limited(m)
-                else:
-                    out.record(m, found[0], u, v)
+        _resolve_pairs(out, sorted(members, key=codepoint_key), n_max,
+                       lambda w: w,
+                       partial(_word_neighbors, moves=moves, max_len=max_len),
+                       limits.max_pair_nodes)
         return out
     discovered = _discover_class(nf, moves, max_len,
                                  limits.max_class_vertices)
@@ -431,14 +406,14 @@ def _resolve_nonzero_class(nf: str, members: list[str], n_max: int,
         return out
     words, index, adj = discovered
     deep_sources = [w for w in members if len(w) <= deep_threshold]
-    for u in sorted(deep_sources, key=_pair_token):
+    for u in sorted(deep_sources, key=codepoint_key):
         dist = _bfs_adjacency(adj, index[u])
-        ku = _pair_token(u)
+        ku = codepoint_key(u)
         for j, v in enumerate(words):
             m = len(u) + len(v)
             if m > n_max:
                 continue
-            if len(v) <= deep_threshold and _pair_token(v) <= ku:
+            if len(v) <= deep_threshold and codepoint_key(v) <= ku:
                 continue
             d = dist[j]
             if d < 0:
@@ -446,18 +421,9 @@ def _resolve_nonzero_class(nf: str, members: list[str], n_max: int,
             if d > 0:
                 out.record(m, d, u, v)
     balanced = sorted((w for w in members if len(w) > deep_threshold),
-                      key=_pair_token)
-    for a_pos, u in enumerate(balanced):
-        for v in balanced[a_pos + 1:]:
-            m = len(u) + len(v)
-            if m > n_max:
-                continue
-            d = _bidi_adjacency(adj, index[u], index[v],
-                                limits.max_pair_nodes)
-            if d is None:
-                out.record_limited(m)
-            elif d > 0:
-                out.record(m, d, u, v)
+                      key=codepoint_key)
+    _resolve_pairs(out, balanced, n_max, index.__getitem__, adj.__getitem__,
+                   limits.max_pair_nodes)
     return out
 
 
@@ -546,12 +512,12 @@ def _resolve_zero_class(system: RewritingSystem, short_zeros: list[str],
         balls[u] = layers
         return layers
 
-    for u in sorted(shorts, key=_pair_token):
-        ku = _pair_token(u)
+    for u in sorted(shorts, key=codepoint_key):
+        ku = codepoint_key(u)
         du = d0[u]
         for v in members:
             m = len(u) + len(v)
-            if m > n_max or _pair_token(v) <= ku:
+            if m > n_max or codepoint_key(v) <= ku:
                 continue
             dv = d0[v]
             if du is None or dv is None:
@@ -578,24 +544,15 @@ def _resolve_zero_class(system: RewritingSystem, short_zeros: list[str],
     return out
 
 
-_PROFILE_STATE: dict = {}
-
-
-def _profile_worker_init(system: RewritingSystem,
-                         moves: list[tuple[str, Element]], n_max: int,
-                         max_len: int, limits: ProfileLimits) -> None:
-    _PROFILE_STATE.update(system=system, moves=moves, n_max=n_max,
-                          max_len=max_len, limits=limits)
-
-
-def _profile_worker(task: tuple[Optional[str], tuple[str, ...]]) -> _ClassOutcome:
+def _resolve_class(shared: tuple[RewritingSystem, list[tuple[str, Element]],
+                                 int, int, ProfileLimits],
+                   task: tuple[Optional[str], list[str]]) -> _ClassOutcome:
+    system, moves, n_max, max_len, limits = shared
     nf, members = task
-    s = _PROFILE_STATE
     if nf is None:
-        return _resolve_zero_class(s["system"], list(members), s["n_max"],
-                                   s["max_len"], s["moves"], s["limits"])
-    return _resolve_nonzero_class(nf, list(members), s["n_max"],
-                                  s["max_len"], s["moves"], s["limits"])
+        return _resolve_zero_class(system, members, n_max, max_len, moves,
+                                   limits)
+    return _resolve_nonzero_class(nf, members, n_max, max_len, moves, limits)
 
 
 def dehn_profile(p: Presentation, n_max: int, *,
@@ -630,21 +587,16 @@ def dehn_profile(p: Presentation, n_max: int, *,
             zero_shorts.append(w)
         else:
             classes.setdefault(nf, []).append(w)
-    tasks: list[tuple[Optional[str], tuple[str, ...]]] = [
-        (nf, tuple(members)) for nf, members in
-        sorted(classes.items(), key=lambda kv: _pair_token(kv[0]))
+    tasks: list[tuple[Optional[str], list[str]]] = [
+        (nf, members) for nf, members in
+        sorted(classes.items(), key=lambda kv: codepoint_key(kv[0]))
         if len(members) > 1 or len(nf) <= n_max - half - 1
     ]
     if zero_shorts:
-        tasks.append((None, tuple(zero_shorts)))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(
-                max_workers=jobs, initializer=_profile_worker_init,
-                initargs=(system, moves, n_max, max_len, limits)) as pool:
-            outcomes = list(pool.map(_profile_worker, tasks))
-    else:
-        _profile_worker_init(system, moves, n_max, max_len, limits)
-        outcomes = [_profile_worker(t) for t in tasks]
+        tasks.append((None, zero_shorts))
+    outcomes = parallel_map(_resolve_class,
+                            (system, moves, n_max, max_len, limits),
+                            tasks, jobs)
 
     best_by_m: dict[int, tuple[int, str, str]] = {}
     limited_by_m: dict[int, int] = {}
@@ -653,11 +605,7 @@ def dehn_profile(p: Presentation, n_max: int, *,
     for oc in outcomes:
         resolved += oc.resolved
         for m, (d, u, v) in oc.best_by_m.items():
-            cur = best_by_m.get(m)
-            if cur is None or d > cur[0] or (d == cur[0] and (
-                    _pair_token(u), _pair_token(v)) < (
-                    _pair_token(cur[1]), _pair_token(cur[2]))):
-                best_by_m[m] = (d, u, v)
+            _keep_best(best_by_m, m, d, u, v)
         for m, count in oc.limited_by_m.items():
             limited_by_m[m] = limited_by_m.get(m, 0) + count
         if oc.incomplete:

@@ -6,22 +6,22 @@ Aho-Corasick automaton with the failure function compiled away: after
 construction every state has a complete transition table over the
 alphabet, so scanning a word costs one dict lookup per letter.
 
-The matcher must report exactly the occurrences a naive scan would
-find; the test suite checks that equivalence against an independent
-scan.
+Its answers (the leftmost occurrence, and whether any occurs) must
+agree with a naive scan; the test suite checks that equivalence
+against an independent scan.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Optional
+from typing import Optional
 
 
 class FactorMatcher:
     """Finds occurrences of any of a fixed set of patterns in a word.
 
     Patterns are nonempty strings over ``alphabet``.  Duplicate patterns
-    are allowed; every (position, pattern_index) occurrence is reported.
+    are allowed; among equal patterns the lowest index is reported.
     """
 
     def __init__(self, alphabet: str, patterns: list[str]):
@@ -82,17 +82,6 @@ class FactorMatcher:
         out = self._out
         return [[(ch, row[ch]) for ch in letters if not out[row[ch]]]
                 for row in self._goto]
-
-    def occurrences(self, word: str, start: int = 0) -> Iterator[tuple[int, int]]:
-        """Yields (position, pattern_index) for every occurrence with
-        position >= start, ordered by end position then pattern index."""
-        goto = self._goto
-        out = self._out
-        state = 0
-        for end, ch in enumerate(word[start:], start):
-            state = goto[state][ch]
-            for idx in sorted(out[state]):
-                yield end - len(self.patterns[idx]) + 1, idx
 
     def first_match(self, word: str, start: int = 0) -> Optional[tuple[int, int]]:
         """Leftmost occurrence with position >= start.

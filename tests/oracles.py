@@ -107,6 +107,72 @@ def bfs_distance(p: Presentation, u: Element, v: Element,
     return None
 
 
+def distances_from(edges: list[tuple[str, Element]], u: str,
+                   max_len: int) -> dict[Element, int]:
+    """Breadth-first distance from u to everything it reaches inside
+    max_len; ZERO appears when reached but is never expanded."""
+    dist: dict[Element, int] = {u: 0}
+    queue: deque[str] = deque([u])
+    while queue:
+        word = queue.popleft()
+        for nb in one_step(word, edges, max_len):
+            if nb in dist:
+                continue
+            dist[nb] = dist[word] + 1
+            if nb is not ZERO:
+                queue.append(nb)
+    return dist
+
+
+def brute_profile(entry, n_max: int, slack: int,
+                  ) -> tuple[list[tuple[int, int, str, str]], int]:
+    """Rows (n, d, witness_u, witness_v) and the resolved pair count of
+    the area profile, from one plain BFS per short word.
+
+    Words of length <= n_max are grouped by ``rightmost_reduce``; every
+    pair of distinct equal words with |u| + |v| <= n_max gets its
+    distance inside words of length <= n_max + slack.  Two zero words
+    may also meet through the zero vertex.  Row n's witness is the pair
+    with the largest distance among |u| + |v| <= n; ties go to the
+    smaller |u| + |v|, then the smaller ((len u, u), (len v, v)).
+    """
+    p = entry.presentation
+    system = entry.system
+    edges = relation_edges(p)
+    max_len = n_max + slack
+    words = ["".join(t) for n in range(n_max + 1)
+             for t in itertools.product(p.alphabet.letters, repeat=n)]
+    nf = {w: rightmost_reduce(system, w) for w in words}
+    to_zero = {w: bfs_distance(p, w, ZERO, max_len)
+               for w in words if nf[w] is ZERO}
+    pairs: dict[tuple[str, str], int] = {}
+    for u in words:
+        if 2 * len(u) > n_max:
+            continue
+        dist = distances_from(edges, u, max_len)
+        for v in words:
+            if v == u or nf[v] != nf[u] or len(u) + len(v) > n_max:
+                continue
+            d = dist.get(v)
+            if nf[u] is ZERO:
+                through = to_zero[u] + to_zero[v]
+                d = through if d is None else min(d, through)
+            assert d is not None, (u, v)
+            key = min((u, v), (v, u), key=lambda t: [(len(w), w) for w in t])
+            pairs[key] = d
+    rows = []
+    best: Optional[tuple[tuple, int, str, str]] = None
+    for n in range(n_max + 1):
+        for (u, v), d in pairs.items():
+            if len(u) + len(v) != n:
+                continue
+            rank = (-d, n, (len(u), u), (len(v), v))
+            if best is None or rank < best[0]:
+                best = (rank, d, u, v)
+        rows.append((n, 0, "", "") if best is None else (n,) + best[1:])
+    return rows, len(pairs)
+
+
 def naive_occurrences(patterns: list[str], word: str) -> list[tuple[int, int]]:
     """Every (position, pattern_index) occurrence by direct comparison."""
     hits = []

@@ -2,7 +2,8 @@
 
 Each test prints a single PASS line with its wall-clock time and
 asserts the runtime budget it ran under.  Parameters are fixed; the
-heavy searches fan out to four worker processes.
+heavy searches ask for four worker processes and get at most one per
+CPU.
 """
 
 import time

@@ -1,7 +1,9 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from rewbench import cli
 from rewbench.cli import main
 
 
@@ -274,6 +276,24 @@ def test_input_errors(capsys, tmp_path):
     code, _, _ = run(capsys, "--catalog", "M2", "probe", "aa", "1",
                      "--radius", "1")
     assert code == 3
+
+
+@pytest.mark.parametrize("target,argv", [
+    ("probe_all_pairs", ["--catalog", "M2", "probe-all", "--seed-len", "1",
+                         "--radius", "3"]),
+    ("dehn_profile", ["--catalog", "dehn-example", "dehn-profile",
+                      "--n-max", "3"]),
+])
+@pytest.mark.parametrize("exc", [BrokenProcessPool, KeyboardInterrupt])
+def test_worker_crash_or_interrupt_exits_2_without_traceback(
+        capsys, monkeypatch, target, argv, exc):
+    def fail(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr(cli, target, fail)
+    code, out, err = run(capsys, "--jobs", "2", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_3(capsys):

@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from oracles import bfs_distance
-from rewbench.catalog import get_entry
+from oracles import bfs_distance, brute_profile
+from rewbench.catalog import get_entry, list_catalog
 from rewbench.core import Alphabet, Presentation, equal_in_monoid
 from rewbench.dehn import (
     AREA,
+    DEFAULT_SLACK,
     NOT_EQUAL,
     RESOURCE_LIMIT,
     ProfileLimits,
@@ -164,6 +165,26 @@ def test_profile_reports_blown_budgets_instead_of_dropping():
     assert res.limited_pairs == 10
     assert len(res.incomplete_classes) == 19
     assert res.rows[-1].limited_pairs == res.limited_pairs
+
+
+@pytest.mark.parametrize("name,slack", [(e.name, 1) for e in list_catalog()]
+                         + [("dehn-example", DEFAULT_SLACK)])
+def test_profile_matches_brute_force_oracle(name, slack):
+    entry = get_entry(name)
+    res = dehn_profile(entry.presentation, 6, slack=slack,
+                       precedence=entry.precedence)
+    rows, resolved = brute_profile(entry, 6, slack)
+    assert [(r.n, r.d, r.witness_u, r.witness_v) for r in res.rows] == rows
+    assert res.resolved_pairs == resolved
+    assert res.limited_pairs == 0
+
+
+def test_profile_independent_of_jobs():
+    e = _dehn()
+    serial = dehn_profile(e.presentation, 6, precedence=e.precedence)
+    parallel = dehn_profile(e.presentation, 6, precedence=e.precedence,
+                            jobs=2)
+    assert parallel == serial
 
 
 def test_profile_requires_complete_system():

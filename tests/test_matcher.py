@@ -4,27 +4,12 @@ from oracles import naive_occurrences
 from rewbench.matcher import FactorMatcher
 
 
-def test_single_pattern_occurrences():
-    m = FactorMatcher("ab", ["ab"])
-    assert list(m.occurrences("abab")) == [(0, 0), (2, 0)]
-    assert list(m.occurrences("ba")) == []
-
-
-def test_overlapping_occurrences():
-    m = FactorMatcher("a", ["aa"])
-    assert list(m.occurrences("aaaa")) == [(0, 0), (1, 0), (2, 0)]
-
-
-def test_occurrences_ordered_by_end_position():
-    m = FactorMatcher("abc", ["ab", "bc", "abc"])
-    occ = list(m.occurrences("abc"))
-    assert set(occ) == {(0, 0), (1, 1), (0, 2)}
-    assert occ[0] == (0, 0)
-
-
-def test_occurrences_start_offset():
-    m = FactorMatcher("ab", ["ab"])
-    assert list(m.occurrences("abab", start=1)) == [(2, 0)]
+def _naive_first_match(patterns, occ, start):
+    """Leftmost occurrence at or after start, longest then lowest index."""
+    cands = [(pos, -len(patterns[idx]), idx)
+             for pos, idx in occ if pos >= start]
+    best = min(cands, default=None)
+    return None if best is None else (best[0], best[2])
 
 
 def test_contains_and_first_match():
@@ -45,7 +30,6 @@ def test_first_match_prefers_longest_then_lowest_index():
 
 def test_empty_pattern_set():
     m = FactorMatcher("ab", [])
-    assert list(m.occurrences("abab")) == []
     assert not m.contains("a")
     assert m.max_len == 0
 
@@ -62,8 +46,11 @@ def test_matches_naive_on_random_words():
     for _ in range(300):
         word = "".join(rng.choice(letters)
                        for _ in range(rng.randrange(0, 15)))
-        assert sorted(m.occurrences(word)) == sorted(
-            naive_occurrences(patterns, word))
+        occ = naive_occurrences(patterns, word)
+        assert m.contains(word) == bool(occ)
+        for start in range(len(word) + 1):
+            assert m.first_match(word, start) == _naive_first_match(
+                patterns, occ, start)
 
 
 def test_first_match_and_contains_agree_with_naive_scan():
@@ -81,10 +68,6 @@ def test_first_match_and_contains_agree_with_naive_scan():
         occ = naive_occurrences(patterns, word)
         assert m.contains(word) == bool(occ)
         for start in range(len(word) + 3):
-            cands = [(pos, -len(patterns[idx]), idx)
-                     for pos, idx in occ if pos >= start]
-            expected = min(cands, default=None)
-            if expected is not None:
-                expected = expected[0], expected[2]
-            assert m.first_match(word, start) == expected
+            assert m.first_match(word, start) == _naive_first_match(
+                patterns, occ, start)
 

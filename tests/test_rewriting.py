@@ -12,7 +12,6 @@ from rewbench.core import (
     RewritingSystem,
     StepBudgetExceededError,
     UnorientableRelationError,
-    check_termination,
     equal_in_monoid,
     normalize,
     orient,
@@ -116,11 +115,10 @@ def test_normalize_budget_on_nonterminating_system():
     assert normalize(system, "b", max_steps=1) == "b"
 
 
-def test_check_termination_matches_attribute():
-    m2 = _m2()
-    assert check_termination(m2) and m2.terminating
+def test_terminating_attribute():
+    assert _m2().terminating
     bad = RewritingSystem(Alphabet("ab", "ab"), [Rule("ab", "ba")])
-    assert not check_termination(bad) and not bad.terminating
+    assert not bad.terminating
 
 
 def test_product_and_zero_absorption():
