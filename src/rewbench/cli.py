@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from typing import Optional
+from typing import Iterable, Optional
 
 from .catalog import _MN_NAME, CatalogEntry, get_entry, list_catalog
 from .completion import (
@@ -191,11 +190,19 @@ def _load(args: argparse.Namespace,
         raise _CliError("an input system is required: --catalog or --file")
     try:
         system = orient(p, precedence)
-    except UnorientableRelationError as exc:
-        raise _CliError(str(exc)) from exc
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     return p, precedence, system, entry
+
+
+def _load_terminating(args: argparse.Namespace,
+                      ) -> tuple[Presentation, str, RewritingSystem,
+                                 Optional[CatalogEntry]]:
+    """``_load`` for subcommands that normalize without a step budget."""
+    loaded = _load(args)
+    if not loaded[2].terminating:
+        raise _CliError(f"{args.subcommand} needs a terminating orientation")
+    return loaded
 
 
 def _no_source(args: argparse.Namespace) -> None:
@@ -203,25 +210,31 @@ def _no_source(args: argparse.Namespace) -> None:
         raise _CliError(f"{args.subcommand} takes no input system")
 
 
-def _emit_text(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+def _nonnegative(args: argparse.Namespace, *flags: str) -> None:
+    """Rejects the flags, named together, if any of them is negative."""
+    if any(getattr(args, f[2:].replace("-", "_")) < 0 for f in flags):
+        raise _CliError(f"{' and '.join(flags)} must be >= 0")
 
 
-def _emit_json(obj: object) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _emit(args: argparse.Namespace, obj: object, lines: list[str],
+          table: Optional[tuple[list[str], Iterable[Iterable[object]]]] = None,
+          ) -> None:
+    """Writes one result in the chosen ``--format``.
 
-
-def _emit_csv(header: list[str], rows: list[list[object]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def _no_csv(args: argparse.Namespace) -> None:
-    if args.format == "csv":
+    ``obj`` is the JSON view and ``lines`` the text view.  Subcommands
+    whose result is tabular also pass ``table = (header, rows)``, its
+    csv view; for every other subcommand csv is an input error.
+    """
+    if args.format == "json":
+        sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    elif args.format == "text":
+        sys.stdout.write("\n".join(lines) + "\n")
+    elif table is None:
         raise _CliError(f"{args.subcommand} has no csv form")
+    else:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(table[0])
+        writer.writerows(table[1])
 
 
 def _normalize_budget(system: RewritingSystem) -> Optional[int]:
@@ -231,12 +244,8 @@ def _normalize_budget(system: RewritingSystem) -> Optional[int]:
 def _cmd_normalize(args: argparse.Namespace) -> int:
     p, _, system, _ = _load(args)
     word = _parse_word(p, args.word)
-    nf = normalize(system, word, _normalize_budget(system))
-    _no_csv(args)
-    if args.format == "json":
-        _emit_json({"input": args.word, "normalForm": format_element(nf)})
-    else:
-        _emit_text([format_element(nf)])
+    nf = format_element(normalize(system, word, _normalize_budget(system)))
+    _emit(args, {"input": args.word, "normalForm": nf}, [nf])
     return EXIT_OK
 
 
@@ -255,13 +264,9 @@ def _cmd_equal(args: argparse.Namespace) -> int:
         verdict = False
     else:
         verdict = None
-    _no_csv(args)
-    if args.format == "json":
-        _emit_json({"u": args.u, "v": args.v, "equal": verdict,
-                    "decidedByCompleteSystem": complete})
-    else:
-        word = "undetermined" if verdict is None else str(verdict).lower()
-        _emit_text([f"equal: {word}"])
+    word = "undetermined" if verdict is None else str(verdict).lower()
+    _emit(args, {"u": args.u, "v": args.v, "equal": verdict,
+                 "decidedByCompleteSystem": complete}, [f"equal: {word}"])
     if verdict is True:
         return EXIT_OK
     return EXIT_REFUTED if verdict is False else EXIT_UNDETERMINED
@@ -270,104 +275,83 @@ def _cmd_equal(args: argparse.Namespace) -> int:
 def _cmd_confluence(args: argparse.Namespace) -> int:
     _, _, system, _ = _load(args)
     report = check_local_confluence(system)
-    _no_csv(args)
-    if args.format == "json":
-        _emit_json(confluence_report_json(report, system))
-    else:
-        lines = [
-            f"locally confluent: {str(report.locally_confluent).lower()}, "
-            f"terminating: {str(report.terminating).lower()}, "
-            f"critical pairs: {report.critical_pair_count}"
-        ]
-        for pair in report.unresolved:
-            lines.append(
-                f"unresolved: {format_element(pair.left)} vs "
-                f"{format_element(pair.right)} "
-                f"(overlap {format_element(pair.overlap.word)})")
-        _emit_text(lines)
+    lines = [
+        f"locally confluent: {str(report.locally_confluent).lower()}, "
+        f"terminating: {str(report.terminating).lower()}, "
+        f"critical pairs: {report.critical_pair_count}"
+    ]
+    for pair in report.unresolved:
+        lines.append(
+            f"unresolved: {format_element(pair.left)} vs "
+            f"{format_element(pair.right)} "
+            f"(overlap {format_element(pair.overlap.word)})")
+    _emit(args, confluence_report_json(report, system), lines)
     return EXIT_OK if report.locally_confluent else EXIT_REFUTED
 
 
 def _cmd_complete(args: argparse.Namespace) -> int:
     p, precedence, _, _ = _load(args)
+    _nonnegative(args, "--max-rules")
+    _nonnegative(args, "--max-word-len")
+    _nonnegative(args, "--max-steps")
     limits = CompletionLimits(max_rules=args.max_rules,
                               max_word_len=args.max_word_len,
                               max_steps=args.max_steps)
     try:
         outcome = knuth_bendix(p, precedence, limits)
     except UnorientableRelationError as exc:
-        _no_csv(args)
-        if args.format == "json":
-            _emit_json({"completed": False, "collapsed": True,
-                        "reason": str(exc)})
-        else:
-            _emit_text([f"completed: false, collapsed: {exc}"])
+        _emit(args, {"completed": False, "collapsed": True,
+                     "reason": str(exc)},
+              [f"completed: false, collapsed: {exc}"])
         return EXIT_REFUTED
-    _no_csv(args)
     rules = [(r.lhs, format_element(r.rhs)) for r in outcome.system.rules]
-    if args.format == "json":
-        _emit_json({
-            "completed": outcome.completed,
-            "steps": outcome.steps,
-            "reason": outcome.reason,
-            "rules": [{"lhs": lhs, "rhs": rhs} for lhs, rhs in rules],
-        })
-    else:
-        lines = [f"completed: {str(outcome.completed).lower()}, "
-                 f"rules: {len(rules)}, steps: {outcome.steps}"]
-        if outcome.reason:
-            lines.append(f"reason: {outcome.reason}")
-        lines.extend(f"{lhs} -> {rhs}" for lhs, rhs in rules)
-        _emit_text(lines)
+    lines = [f"completed: {str(outcome.completed).lower()}, "
+             f"rules: {len(rules)}, steps: {outcome.steps}"]
+    if outcome.reason:
+        lines.append(f"reason: {outcome.reason}")
+    lines.extend(f"{lhs} -> {rhs}" for lhs, rhs in rules)
+    _emit(args, {
+        "completed": outcome.completed,
+        "steps": outcome.steps,
+        "reason": outcome.reason,
+        "rules": [{"lhs": lhs, "rhs": rhs} for lhs, rhs in rules],
+    }, lines)
     return EXIT_OK if outcome.completed else EXIT_UNDETERMINED
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _, _, system, _ = _load(args)
-    if args.max_len < 0:
-        raise _CliError("--max-len must be >= 0")
+    _nonnegative(args, "--max-len")
     forms = list(iter_normal_forms(system, args.max_len))
-    if args.format == "json":
-        _emit_json({"maxLen": args.max_len, "count": len(forms),
-                    "normalForms": [format_element(w) for w in forms]})
-    elif args.format == "csv":
-        _emit_csv(["length", "word"],
-                  [[len(w), format_element(w)] for w in forms])
-    else:
-        _emit_text([format_element(w) for w in forms])
+    words = [format_element(w) for w in forms]
+    _emit(args, {"maxLen": args.max_len, "count": len(words),
+                 "normalForms": words}, words,
+          (["length", "word"], ([len(w), s] for w, s in zip(forms, words))))
     return EXIT_OK
 
 
 def _cmd_growth(args: argparse.Namespace) -> int:
     _, _, system, _ = _load(args)
-    if args.max_len < 0:
-        raise _CliError("--max-len must be >= 0")
+    _nonnegative(args, "--max-len")
     series = growth_series(system, args.max_len)
-    if args.format == "json":
-        _emit_json({"maxLen": args.max_len, "counts": list(series.counts),
-                    "total": series.total()})
-    elif args.format == "csv":
-        _emit_csv(["length", "count"],
-                  [[n, c] for n, c in enumerate(series.counts)])
-    else:
-        lines = [f"{n}: {c}" for n, c in enumerate(series.counts)]
-        lines.append(f"total: {series.total()}")
-        _emit_text(lines)
+    counts = list(series.counts)
+    lines = [f"{n}: {c}" for n, c in enumerate(counts)]
+    lines.append(f"total: {series.total()}")
+    _emit(args, {"maxLen": args.max_len, "counts": counts,
+                 "total": series.total()}, lines,
+          (["length", "count"], enumerate(counts)))
     return EXIT_OK
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    p, _, system, entry = _load(args)
-    if not system.terminating:
-        raise _CliError("witness needs a terminating orientation")
+    p, _, system, entry = _load_terminating(args)
     word = _parse_word(p, args.word)
+    _nonnegative(args, "--max-len")
+    _nonnegative(args, "--max-nodes")
     nf = normalize(system, word)
-    _no_csv(args)
     if is_zero(nf):
-        if args.format == "json":
-            _emit_json({"word": args.word, "unit": False})
-        else:
-            _emit_text(["not a unit: the word equals zero"])
+        _emit(args, {"word": args.word, "unit": False},
+              ["not a unit: the word equals zero"])
         return EXIT_REFUTED
     m = _MN_NAME.match(entry.name) if entry is not None else None
     if m:
@@ -378,89 +362,68 @@ def _cmd_witness(args: argparse.Namespace) -> int:
                                    max_nodes=args.max_nodes)
         method = "search"
         if pair is None:
-            if args.format == "json":
-                _emit_json({"word": args.word, "unit": None,
-                            "method": method})
-            else:
-                _emit_text(["undetermined: no witness within limits"])
+            _emit(args, {"word": args.word, "unit": None, "method": method},
+                  ["undetermined: no witness within limits"])
             return EXIT_UNDETERMINED
-    if args.format == "json":
-        _emit_json({"word": args.word, "unit": True, "method": method,
-                    "x": format_element(pair.x), "y": format_element(pair.y)})
-    else:
-        _emit_text([f"x: {format_element(pair.x)}, "
-                    f"y: {format_element(pair.y)}"])
+    x, y = format_element(pair.x), format_element(pair.y)
+    _emit(args, {"word": args.word, "unit": True, "method": method,
+                 "x": x, "y": y}, [f"x: {x}, y: {y}"])
     return EXIT_OK
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    p, _, system, _ = _load(args)
-    if not system.terminating:
-        raise _CliError("probe needs a terminating orientation")
+    p, _, system, _ = _load_terminating(args)
     u = _parse_word(p, args.u, allow_zero=True)
     v = _parse_word(p, args.v, allow_zero=True)
-    if args.radius < 0:
-        raise _CliError("--radius must be >= 0")
+    _nonnegative(args, "--radius")
     try:
         result = probe_congruence(system, (u, v), args.radius)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
-    _no_csv(args)
     trace_len = len(result.trace.path) if result.trace is not None else None
-    if args.format == "json":
-        _emit_json({
-            "collapsed": result.collapsed,
-            "merges": result.merges,
-            "traceLength": trace_len,
-            "truncated": result.truncated,
-            "classCount": result.class_count,
-            "radius": result.radius,
-            "universeSize": result.universe_size,
-        })
-    elif result.collapsed:
-        _emit_text([f"collapsed: true, merges: {result.merges}, "
-                    f"trace length: {trace_len}"])
+    if result.collapsed:
+        line = (f"collapsed: true, merges: {result.merges}, "
+                f"trace length: {trace_len}")
     else:
-        _emit_text([f"collapsed: false, classes: {result.class_count}, "
-                    f"truncated: {result.truncated}"])
+        line = (f"collapsed: false, classes: {result.class_count}, "
+                f"truncated: {result.truncated}")
+    _emit(args, {
+        "collapsed": result.collapsed,
+        "merges": result.merges,
+        "traceLength": trace_len,
+        "truncated": result.truncated,
+        "classCount": result.class_count,
+        "radius": result.radius,
+        "universeSize": result.universe_size,
+    }, [line])
     return EXIT_OK if result.collapsed else EXIT_UNDETERMINED
 
 
 def _cmd_probe_all(args: argparse.Namespace) -> int:
-    _, _, system, _ = _load(args)
-    if not system.terminating:
-        raise _CliError("probe-all needs a terminating orientation")
-    if args.seed_len < 0 or args.radius < 0:
-        raise _CliError("--seed-len and --radius must be >= 0")
+    _, _, system, _ = _load_terminating(args)
+    _nonnegative(args, "--seed-len", "--radius")
     summary = probe_all_pairs(system, args.seed_len, args.radius,
                               jobs=args.jobs)
-    if args.format == "json":
-        _emit_json({
-            "radius": summary.radius,
-            "universeSize": summary.universe_size,
-            "collapsedCount": summary.collapsed_count,
-            "undeterminedCount": summary.undetermined_count,
-            "undeterminedWithoutTruncation":
-                summary.undetermined_without_truncation,
-            "worstTraceLength": summary.worst_trace_len,
-            "rows": [{
-                "u": format_element(r.u), "v": format_element(r.v),
-                "collapsed": r.collapsed, "traceLength": r.trace_len,
-                "truncated": r.truncated,
-            } for r in summary.rows],
-        })
-    elif args.format == "csv":
-        _emit_csv(
-            ["seed_u", "seed_v", "status", "trace_len", "truncated"],
-            [[format_element(r.u), format_element(r.v),
-              "collapsed" if r.collapsed else "undetermined",
-              r.trace_len, r.truncated] for r in summary.rows])
-    else:
-        _emit_text([
-            f"pairs: {len(summary.rows)}, "
-            f"collapsed: {summary.collapsed_count}, "
-            f"undetermined: {summary.undetermined_count}, "
-            f"worst trace length: {summary.worst_trace_len}"])
+    rows = [(format_element(r.u), format_element(r.v), r)
+            for r in summary.rows]
+    _emit(args, {
+        "radius": summary.radius,
+        "universeSize": summary.universe_size,
+        "collapsedCount": summary.collapsed_count,
+        "undeterminedCount": summary.undetermined_count,
+        "undeterminedWithoutTruncation":
+            summary.undetermined_without_truncation,
+        "worstTraceLength": summary.worst_trace_len,
+        "rows": [{"u": u, "v": v, "collapsed": r.collapsed,
+                  "traceLength": r.trace_len, "truncated": r.truncated}
+                 for u, v, r in rows],
+    }, [f"pairs: {len(summary.rows)}, "
+        f"collapsed: {summary.collapsed_count}, "
+        f"undetermined: {summary.undetermined_count}, "
+        f"worst trace length: {summary.worst_trace_len}"],
+        (["seed_u", "seed_v", "status", "trace_len", "truncated"],
+         ([u, v, "collapsed" if r.collapsed else "undetermined",
+           r.trace_len, r.truncated] for u, v, r in rows)))
     return EXIT_OK if summary.undetermined_count == 0 else EXIT_UNDETERMINED
 
 
@@ -468,26 +431,21 @@ def _cmd_dehn(args: argparse.Namespace) -> int:
     p, precedence, _, _ = _load(args)
     u = _parse_word(p, args.u)
     v = _parse_word(p, args.v)
+    _nonnegative(args, "--max-nodes")
     try:
         result = dehn_area(p, u, v, max_len=args.max_len,
                            max_nodes=args.max_nodes, precedence=precedence)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
-    _no_csv(args)
-    if args.format == "json":
-        _emit_json({
-            "status": result.status,
-            "steps": result.steps,
-            "derivation": [format_element(w) for w in result.derivation],
-            "reason": result.reason,
-        })
-    elif result.status == AREA:
-        chain = " -> ".join(format_element(w) for w in result.derivation)
-        _emit_text([f"area: {result.steps}", f"derivation: {chain}"])
+    chain = [format_element(w) for w in result.derivation]
+    if result.status == AREA:
+        lines = [f"area: {result.steps}", f"derivation: {' -> '.join(chain)}"]
     elif result.status == NOT_EQUAL:
-        _emit_text(["not equal"])
+        lines = ["not equal"]
     else:
-        _emit_text([f"resource limit: {result.reason}"])
+        lines = [f"resource limit: {result.reason}"]
+    _emit(args, {"status": result.status, "steps": result.steps,
+                 "derivation": chain, "reason": result.reason}, lines)
     if result.status == AREA:
         return EXIT_OK
     return EXIT_REFUTED if result.status == NOT_EQUAL else EXIT_UNDETERMINED
@@ -495,50 +453,38 @@ def _cmd_dehn(args: argparse.Namespace) -> int:
 
 def _cmd_dehn_profile(args: argparse.Namespace) -> int:
     p, precedence, _, _ = _load(args)
-    if args.n_max < 0:
-        raise _CliError("--n-max must be >= 0")
-    if args.slack < 0:
-        raise _CliError("--slack must be >= 0")
+    _nonnegative(args, "--n-max")
+    _nonnegative(args, "--slack")
     try:
         result = dehn_profile(p, args.n_max, slack=args.slack,
                               precedence=precedence, jobs=args.jobs)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
+    rows = [(format_element(r.witness_u), format_element(r.witness_v), r)
+            for r in result.rows]
+    lines = []
+    for wu, wv, r in rows:
+        line = f"D({r.n}) = {r.d}"
+        if r.d > 0:
+            line += f"  witness: {wu} ~ {wv}"
+        if r.limited_pairs:
+            line += f"  limited pairs: {r.limited_pairs}"
+        lines.append(line)
+    lines.append(f"resolved pairs: {result.resolved_pairs}")
+    lines.extend(f"incomplete class: {label}"
+                 for label in result.incomplete_classes)
+    _emit(args, {
+        "nMax": result.n_max,
+        "maxLen": result.max_len,
+        "resolvedPairs": result.resolved_pairs,
+        "limitedPairs": result.limited_pairs,
+        "incompleteClasses": list(result.incomplete_classes),
+        "rows": [{"n": r.n, "d": r.d, "witnessU": wu, "witnessV": wv,
+                  "limitedPairs": r.limited_pairs} for wu, wv, r in rows],
+    }, lines,
+        (["n", "d", "witness_u", "witness_v", "limited_pairs"],
+         ([r.n, r.d, wu, wv, r.limited_pairs] for wu, wv, r in rows)))
     limited = result.limited_pairs > 0 or bool(result.incomplete_classes)
-    if args.format == "json":
-        _emit_json({
-            "nMax": result.n_max,
-            "maxLen": result.max_len,
-            "resolvedPairs": result.resolved_pairs,
-            "limitedPairs": result.limited_pairs,
-            "incompleteClasses": list(result.incomplete_classes),
-            "rows": [{
-                "n": r.n, "d": r.d,
-                "witnessU": format_element(r.witness_u),
-                "witnessV": format_element(r.witness_v),
-                "limitedPairs": r.limited_pairs,
-            } for r in result.rows],
-        })
-    elif args.format == "csv":
-        _emit_csv(
-            ["n", "d", "witness_u", "witness_v", "limited_pairs"],
-            [[r.n, r.d, format_element(r.witness_u),
-              format_element(r.witness_v), r.limited_pairs]
-             for r in result.rows])
-    else:
-        lines = []
-        for r in result.rows:
-            line = f"D({r.n}) = {r.d}"
-            if r.d > 0:
-                line += (f"  witness: {format_element(r.witness_u)} ~ "
-                         f"{format_element(r.witness_v)}")
-            if r.limited_pairs:
-                line += f"  limited pairs: {r.limited_pairs}"
-            lines.append(line)
-        lines.append(f"resolved pairs: {result.resolved_pairs}")
-        for label in result.incomplete_classes:
-            lines.append(f"incomplete class: {label}")
-        _emit_text(lines)
     return EXIT_UNDETERMINED if limited else EXIT_OK
 
 
@@ -548,29 +494,25 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
         raise _CliError(f"--n must be between 1 and {MAX_CLI_N}")
     checks = verify_mn_identities(args.n)
     ok = all_hold(checks)
-    _no_csv(args)
-    if args.format == "json":
-        _emit_json({
-            "n": args.n,
-            "allHold": ok,
-            "checks": [{
-                "name": c.name, "word": format_element(c.word),
-                "expected": format_element(c.expected),
-                "actual": format_element(c.actual), "ok": c.ok,
-            } for c in checks],
-        })
-    else:
-        lines = []
-        for c in checks:
-            if c.ok:
-                lines.append(f"PASS {c.name}: {format_element(c.word)} = "
-                             f"{format_element(c.expected)}")
-            else:
-                lines.append(f"FAIL {c.name}: {format_element(c.word)} -> "
-                             f"{format_element(c.actual)}, expected "
-                             f"{format_element(c.expected)}")
-        lines.append(f"all identities hold: {str(ok).lower()}")
-        _emit_text(lines)
+    lines = []
+    for c in checks:
+        if c.ok:
+            lines.append(f"PASS {c.name}: {format_element(c.word)} = "
+                         f"{format_element(c.expected)}")
+        else:
+            lines.append(f"FAIL {c.name}: {format_element(c.word)} -> "
+                         f"{format_element(c.actual)}, expected "
+                         f"{format_element(c.expected)}")
+    lines.append(f"all identities hold: {str(ok).lower()}")
+    _emit(args, {
+        "n": args.n,
+        "allHold": ok,
+        "checks": [{
+            "name": c.name, "word": format_element(c.word),
+            "expected": format_element(c.expected),
+            "actual": format_element(c.actual), "ok": c.ok,
+        } for c in checks],
+    }, lines)
     return EXIT_OK if ok else EXIT_REFUTED
 
 
@@ -578,37 +520,28 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     _no_source(args)
     if args.action == "list":
         entries = list_catalog()
-        if args.format == "json":
-            _emit_json([{
-                "name": e.name,
-                "generators": e.presentation.alphabet.letters,
-                "precedence": e.precedence,
-                "relationCount": len(e.presentation.relations),
-                "provenance": e.provenance,
-            } for e in entries])
-        elif args.format == "csv":
-            _emit_csv(["name", "generators", "precedence", "relations"],
-                      [[e.name, e.presentation.alphabet.letters,
-                        e.precedence, len(e.presentation.relations)]
-                       for e in entries])
-        else:
-            _emit_text([f"{e.name}: {e.provenance}" for e in entries])
+        _emit(args, [{
+            "name": e.name,
+            "generators": e.presentation.alphabet.letters,
+            "precedence": e.precedence,
+            "relationCount": len(e.presentation.relations),
+            "provenance": e.provenance,
+        } for e in entries], [f"{e.name}: {e.provenance}" for e in entries],
+            (["name", "generators", "precedence", "relations"],
+             ([e.name, e.presentation.alphabet.letters, e.precedence,
+               len(e.presentation.relations)] for e in entries)))
         return EXIT_OK
     if args.name is None:
         raise _CliError("catalog dump needs a name")
     entry = _catalog_entry(args.name)
-    _no_csv(args)
-    if args.format == "json":
-        _emit_json({
-            "name": entry.name,
-            "generators": entry.presentation.alphabet.letters,
-            "precedence": entry.precedence,
-            "provenance": entry.provenance,
-            "relations": [[format_element(x), format_element(y)]
-                          for x, y in entry.presentation.relations],
-        })
-    else:
-        sys.stdout.write(dump_presentation(entry.presentation))
+    _emit(args, {
+        "name": entry.name,
+        "generators": entry.presentation.alphabet.letters,
+        "precedence": entry.precedence,
+        "provenance": entry.provenance,
+        "relations": [[format_element(x), format_element(y)]
+                      for x, y in entry.presentation.relations],
+    }, dump_presentation(entry.presentation).splitlines())
     return EXIT_OK
 
 

@@ -22,11 +22,13 @@ from .core import (
     Rule,
     ShortlexOrder,
     StepBudgetExceededError,
-    UnorientableRelationError,
     format_element,
     normalize,
     orient,
+    orient_equation,
 )
+
+_COLLAPSED = "completion derived 1 = 0; the monoid collapses to zero"
 
 SUFFIX_PREFIX = "suffix-prefix"
 CONTAINMENT = "containment"
@@ -176,18 +178,6 @@ def check_local_confluence(system: RewritingSystem,
     )
 
 
-def _orient_equation(x: Element, y: Element, order: ShortlexOrder) -> Rule:
-    """Directs a derived equation into a shortlex-decreasing rule."""
-    if x is ZERO or y is ZERO:
-        word = y if x is ZERO else x
-        if word == "":
-            raise UnorientableRelationError(
-                "completion derived 1 = 0; the monoid collapses to zero")
-        return Rule(word, ZERO)
-    big, small = (x, y) if order.less(y, x) else (y, x)
-    return Rule(big, small)
-
-
 def knuth_bendix(p: Presentation, precedence: str = "",
                  limits: CompletionLimits = CompletionLimits()) -> CompletionOutcome:
     """Completes a presentation into a confluent terminating system.
@@ -214,7 +204,7 @@ def knuth_bendix(p: Presentation, precedence: str = "",
             right_nf = normalize(system, pair.right)
             if left_nf == right_nf:
                 continue
-            rule = _orient_equation(left_nf, right_nf, order)
+            rule = orient_equation(left_nf, right_nf, order, _COLLAPSED)
             if rule not in rules and rule not in new_rules:
                 new_rules.append(rule)
         if not new_rules:
@@ -260,7 +250,8 @@ def _interreduce(alphabet, rules: list[Rule], order: ShortlexOrder) -> list[Rule
                 continue
             del current[i]
             if lhs_nf != rhs_nf:
-                replacement = _orient_equation(lhs_nf, rhs_nf, order)
+                replacement = orient_equation(lhs_nf, rhs_nf, order,
+                                              _COLLAPSED)
                 if replacement not in current:
                     current.append(replacement)
             changed = True

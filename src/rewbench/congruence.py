@@ -256,7 +256,8 @@ def probe_all_pairs(system: RewritingSystem, max_seed_len: int, radius: int,
     seed length first (ZERO counts as length 0), so a collapse shows up
     at a minimal seed.  ``jobs`` > 1 fans pairs out to worker processes,
     at most one per CPU and per pair; the row order is independent of
-    the worker count.
+    the worker count.  Under ``spawn`` (macOS, Windows) a calling script
+    needs a ``__main__`` guard for that; see ``rewbench.parallel``.
     """
     elements: list[Element] = []
     if _has_zero(system):

@@ -310,19 +310,26 @@ def orient(p: Presentation, precedence: str = "") -> RewritingSystem:
             warnings.warn(f"skipping trivial relation {format_element(left)} = "
                           f"{format_element(right)}")
             continue
-        if left is ZERO or right is ZERO:
-            word = right if left is ZERO else left
-            if word == "":
-                raise UnorientableRelationError(
-                    "relation 1 = 0 collapses the monoid; cannot orient")
-            rules.append(Rule(word, ZERO))
-            continue
-        big, small = (left, right) if order.less(right, left) else (right, left)
-        if big == "":
-            # Unreachable for a total order on distinct words, kept as a guard.
-            raise UnorientableRelationError(f"cannot orient {left!r} = {right!r}")
-        rules.append(Rule(big, small))
+        rules.append(orient_equation(
+            left, right, order,
+            "relation 1 = 0 collapses the monoid; cannot orient"))
     return RewritingSystem(alphabet, rules)
+
+
+def orient_equation(x: Element, y: Element, order: ShortlexOrder,
+                    collapse_message: str) -> Rule:
+    """Directs ``x = y`` (x != y) into a shortlex-decreasing rule.
+
+    A zero side becomes the rhs.  ``1 = 0`` has no rule form and raises
+    UnorientableRelationError with ``collapse_message``.
+    """
+    if x is ZERO or y is ZERO:
+        word = y if x is ZERO else x
+        if word == "":
+            raise UnorientableRelationError(collapse_message)
+        return Rule(word, ZERO)
+    big, small = (x, y) if order.less(y, x) else (y, x)
+    return Rule(big, small)
 
 
 def rewrite_step(system: RewritingSystem, word: str) -> Optional[Element]:

@@ -568,7 +568,9 @@ def dehn_profile(p: Presentation, n_max: int, *,
     which keeps D monotone in n and every pair's search space
     identical across rows.  Requires a presentation whose orientation
     is complete, which certifies class membership and keeps each class
-    connected inside the ball.
+    connected inside the ball.  ``jobs`` > 1 resolves classes in worker
+    processes; under ``spawn`` (macOS, Windows) a calling script needs a
+    ``__main__`` guard for that; see ``rewbench.parallel``.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

@@ -5,6 +5,12 @@
 function, since workers receive it by import path.  ``shared`` reaches
 each worker once, through the pool initializer; per task only the task
 and its result are pickled.
+
+Workers start with the platform's default method.  Under ``spawn``, the
+default on macOS and Windows, each worker re-imports the caller's
+``__main__`` module, so a script that calls ``parallel_map`` (or
+``probe_all_pairs`` / ``dehn_profile``) with ``jobs > 1`` must keep its
+top-level work under ``if __name__ == "__main__":``.
 """
 
 from __future__ import annotations

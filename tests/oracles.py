@@ -124,17 +124,15 @@ def distances_from(edges: list[tuple[str, Element]], u: str,
     return dist
 
 
-def brute_profile(entry, n_max: int, slack: int,
-                  ) -> tuple[list[tuple[int, int, str, str]], int]:
-    """Rows (n, d, witness_u, witness_v) and the resolved pair count of
-    the area profile, from one plain BFS per short word.
+def brute_pair_areas(entry, n_max: int, slack: int,
+                     ) -> dict[tuple[str, str], int]:
+    """Distance of every pair of distinct equal words u, v with
+    |u| + |v| <= n_max, from one plain BFS per short word.
 
-    Words of length <= n_max are grouped by ``rightmost_reduce``; every
-    pair of distinct equal words with |u| + |v| <= n_max gets its
-    distance inside words of length <= n_max + slack.  Two zero words
-    may also meet through the zero vertex.  Row n's witness is the pair
-    with the largest distance among |u| + |v| <= n; ties go to the
-    smaller |u| + |v|, then the smaller ((len u, u), (len v, v)).
+    Words of length <= n_max are grouped by ``rightmost_reduce``; a
+    pair's distance is taken inside words of length <= n_max + slack,
+    and two zero words may also meet through the zero vertex.  Keys
+    are ordered by (length, word).
     """
     p = entry.presentation
     system = entry.system
@@ -160,6 +158,19 @@ def brute_profile(entry, n_max: int, slack: int,
             assert d is not None, (u, v)
             key = min((u, v), (v, u), key=lambda t: [(len(w), w) for w in t])
             pairs[key] = d
+    return pairs
+
+
+def brute_profile(entry, n_max: int, slack: int,
+                  ) -> tuple[list[tuple[int, int, str, str]], int]:
+    """Rows (n, d, witness_u, witness_v) and the resolved pair count of
+    the area profile, ranked from ``brute_pair_areas``.
+
+    Row n's witness is the pair with the largest distance among
+    |u| + |v| <= n; ties go to the smaller |u| + |v|, then the smaller
+    ((len u, u), (len v, v)).
+    """
+    pairs = brute_pair_areas(entry, n_max, slack)
     rows = []
     best: Optional[tuple[tuple, int, str, str]] = None
     for n in range(n_max + 1):

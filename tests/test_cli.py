@@ -1,3 +1,4 @@
+import hashlib
 import json
 from concurrent.futures.process import BrokenProcessPool
 
@@ -276,6 +277,180 @@ def test_input_errors(capsys, tmp_path):
     code, _, _ = run(capsys, "--catalog", "M2", "probe", "aa", "1",
                      "--radius", "1")
     assert code == 3
+
+
+_FILES = {"comm.rws": "generators: a b\nrelations:\nab = ba\n",
+          "collapse.rws": "generators: a\nrelations:\na = 1\na = 0\n"}
+
+# (argv, exit code, text stdout, JSON value, csv stdout or None when the
+# subcommand has no csv form).  Outputs of more than a few hundred bytes
+# are pinned by their SHA-256.
+FORMAT_CASES = [
+    (["--catalog", "M2", "normalize", "adacab"], 0,
+     "a\n",
+     {"input": "adacab", "normalForm": "a"},
+     None),
+    (["--catalog", "M2", "equal", "aadb", "a"], 1,
+     "equal: false\n",
+     {"decidedByCompleteSystem": True, "equal": False, "u": "aadb", "v": "a"},
+     None),
+    (["--catalog", "dehn-example", "confluence"], 0,
+     "locally confluent: true, terminating: true, critical pairs: 0\n",
+     {"criticalPairCount": 0,
+      "locallyConfluent": True,
+      "terminating": True,
+      "unresolved": []},
+     None),
+    (["--file", "comm.rws", "--precedence", "ba", "complete"], 0,
+     "completed: true, rules: 1, steps: 0\nab -> ba\n",
+     {"completed": True,
+      "reason": "",
+      "rules": [{"lhs": "ab", "rhs": "ba"}],
+      "steps": 0},
+     None),
+    (["--file", "collapse.rws", "complete"], 1,
+     ("completed: false, collapsed: completion derived 1 = 0; the mono"
+      "id collapses to zero\n"),
+     {"collapsed": True,
+      "completed": False,
+      "reason": "completion derived 1 = 0; the monoid collapses to zero"},
+     None),
+    (["--catalog", "M1", "enumerate", "--max-len", "1"], 0,
+     "1\na\nb\nc\nd\n",
+     {"count": 5, "maxLen": 1, "normalForms": ["1", "a", "b", "c", "d"]},
+     "length,word\n0,1\n1,a\n1,b\n1,c\n1,d\n"),
+    (["--catalog", "M1", "growth", "--max-len", "2"], 0,
+     "0: 1\n1: 4\n2: 12\ntotal: 17\n",
+     {"counts": [1, 4, 12], "maxLen": 2, "total": 17},
+     "length,count\n0,1\n1,4\n2,12\n"),
+    (["--catalog", "M1", "witness", "b"], 0,
+     "x: d, y: 1\n",
+     {"method": "constructive", "unit": True, "word": "b", "x": "d", "y": "1"},
+     None),
+    (["--catalog", "dehn-example", "witness", "a"], 0,
+     "x: a, y: d\n",
+     {"method": "search", "unit": True, "word": "a", "x": "a", "y": "d"},
+     None),
+    (["--catalog", "M1", "probe", "a", "b", "--radius", "2"], 0,
+     "collapsed: true, merges: 12, trace length: 1\n",
+     {"classCount": 6,
+      "collapsed": True,
+      "merges": 12,
+      "radius": 2,
+      "traceLength": 1,
+      "truncated": 46,
+      "universeSize": 18},
+     None),
+    (["--catalog", "M1", "probe-all", "--seed-len", "0", "--radius", "2"], 0,
+     "pairs: 1, collapsed: 1, undetermined: 0, worst trace length: 1\n",
+     {"collapsedCount": 1,
+      "radius": 2,
+      "rows": [{"collapsed": True, "traceLength": 1, "truncated": 0,
+                "u": "0", "v": "1"}],
+      "undeterminedCount": 0,
+      "undeterminedWithoutTruncation": 0,
+      "universeSize": 18,
+      "worstTraceLength": 1},
+     "seed_u,seed_v,status,trace_len,truncated\n0,1,collapsed,1,0\n"),
+    (["--catalog", "dehn-example", "dehn", "ab", "ba"], 0,
+     "area: 1\nderivation: ab -> ba\n",
+     {"derivation": ["ab", "ba"], "reason": "", "status": "area", "steps": 1},
+     None),
+    (["--catalog", "dehn-example", "dehn-profile", "--n-max", "2"], 0,
+     "D(0) = 0\nD(1) = 0\nD(2) = 1  witness: 1 ~ cd\nresolved pairs: 1\n",
+     {"incompleteClasses": [],
+      "limitedPairs": 0,
+      "maxLen": 6,
+      "nMax": 2,
+      "resolvedPairs": 1,
+      "rows": [{"d": 0, "limitedPairs": 0, "n": 0,
+                "witnessU": "1", "witnessV": "1"},
+               {"d": 0, "limitedPairs": 0, "n": 1,
+                "witnessU": "1", "witnessV": "1"},
+               {"d": 1, "limitedPairs": 0, "n": 2,
+                "witnessU": "1", "witnessV": "cd"}]},
+     ("n,d,witness_u,witness_v,limited_pairs\n"
+      "0,0,1,1,0\n"
+      "1,0,1,1,0\n"
+      "2,1,1,cd,0\n")),
+    (["verify-identities", "--n", "1"], 0,
+     "sha256:4b07af412a5ca92a2ecd25b712ed72d5fafdc6a62b86b2f70bd457e99c18fe1f",
+     "sha256:1106db42c9a10d57372d61a5964bcf19279c50e614053881875a0b4437281649",
+     None),
+    (["catalog", "list"], 0,
+     ("M1: congruence-free monoid on a,b,c,d with a^1 b = 0, ac = 1, d"
+      "b = 1, dc = 1, d a^k b = 1 for 0 < k < 1\n"
+      "M2: congruence-free monoid on a,b,c,d with a^2 b = 0, ac = 1, d"
+      "b = 1, dc = 1, d a^k b = 1 for 0 < k < 2\n"
+      "M3: congruence-free monoid on a,b,c,d with a^3 b = 0, ac = 1, d"
+      "b = 1, dc = 1, d a^k b = 1 for 0 < k < 3\n"
+      "M4: congruence-free monoid on a,b,c,d with a^4 b = 0, ac = 1, d"
+      "b = 1, dc = 1, d a^k b = 1 for 0 < k < 4\n"
+      "M5: congruence-free monoid on a,b,c,d with a^5 b = 0, ac = 1, d"
+      "b = 1, dc = 1, d a^k b = 1 for 0 < k < 5\n"
+      "M6: congruence-free monoid on a,b,c,d with a^6 b = 0, ac = 1, d"
+      "b = 1, dc = 1, d a^k b = 1 for 0 < k < 6\n"
+      "dehn-example: commutation-driven example: ab = ba, cbad = 1, cb"
+      "^2 = 1, a^2 d = 1, cad = 0, cbd = 0, cd = 1; minimal derivation"
+      " areas grow quadratically\n"),
+     "sha256:5b066105d8723709716f2e2d042aeeb72aa54270b6f1c657df5e5b8007701456",
+     ("name,generators,precedence,relations\n"
+      "M1,abcd,abcd,4\n"
+      "M2,abcd,abcd,5\n"
+      "M3,abcd,abcd,6\n"
+      "M4,abcd,abcd,7\n"
+      "M5,abcd,abcd,8\n"
+      "M6,abcd,abcd,9\n"
+      "dehn-example,abcd,bacd,7\n")),
+    (["catalog", "dump", "M1"], 0,
+     "generators: a b c d\nrelations:\nab = 0\nac = 1\ndb = 1\ndc = 1\n",
+     {"generators": "abcd",
+      "name": "M1",
+      "precedence": "abcd",
+      "provenance": "congruence-free monoid on a,b,c,d with a^1 b = 0, ac = "
+                    "1, db = 1, dc = 1, d a^k b = 1 for 0 < k < 1",
+      "relations": [["ab", "0"], ["ac", "1"], ["db", "1"], ["dc", "1"]]},
+     None),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv,code,text,obj,table", FORMAT_CASES,
+                         ids=[" ".join(c[0]) for c in FORMAT_CASES])
+def test_every_subcommand_in_every_format(capsys, tmp_path, fmt, argv, code,
+                                          text, obj, table):
+    for name, content in _FILES.items():
+        (tmp_path / name).write_text(content)
+    argv = [str(tmp_path / a) if a in _FILES else a for a in argv]
+    if fmt == "text":
+        expected = (code, text, "")
+    elif fmt == "json":
+        expected = (code, obj if isinstance(obj, str) else
+                    json.dumps(obj, sort_keys=True, indent=2) + "\n", "")
+    elif table is not None:
+        expected = (code, table, "")
+    else:
+        subcommand = next(a for a in argv if a in cli._HANDLERS)
+        expected = (3, "", f"error: {subcommand} has no csv form\n")
+    got_code, out, err = run(capsys, "--format", fmt, *argv)
+    if expected[1].startswith("sha256:"):
+        out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+    assert (got_code, out, err) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["--catalog", "dehn-example", "dehn", "ab", "ba", "--max-nodes", "-3"],
+    ["--catalog", "dehn-example", "witness", "a", "--max-len", "-1"],
+    ["--catalog", "dehn-example", "witness", "a", "--max-nodes", "-1"],
+    ["--catalog", "M2", "complete", "--max-rules", "-1"],
+    ["--catalog", "M2", "complete", "--max-word-len", "-1"],
+    ["--catalog", "M2", "complete", "--max-steps", "-1"],
+])
+def test_negative_budgets_are_input_errors(capsys, argv):
+    flag = argv[-2]
+    assert run(capsys, *argv) == (3, "", f"error: {flag} must be >= 0\n")
+    code, _, err = run(capsys, *argv[:-1], "0")
+    assert code != 3 and err == ""
 
 
 @pytest.mark.parametrize("target,argv", [

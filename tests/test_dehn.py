@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from oracles import bfs_distance, brute_profile
-from rewbench.catalog import get_entry, list_catalog
-from rewbench.core import Alphabet, Presentation, equal_in_monoid
+from oracles import bfs_distance, brute_pair_areas, brute_profile
+from rewbench import dehn
+from rewbench.catalog import CatalogEntry, get_entry, list_catalog
+from rewbench.core import ZERO, Alphabet, Presentation, equal_in_monoid
 from rewbench.dehn import (
     AREA,
     DEFAULT_SLACK,
@@ -177,6 +178,28 @@ def test_profile_matches_brute_force_oracle(name, slack):
     assert [(r.n, r.d, r.witness_u, r.witness_v) for r in res.rows] == rows
     assert res.resolved_pairs == resolved
     assert res.limited_pairs == 0
+
+
+def test_profile_pair_areas_match_brute_force_oracle(monkeypatch):
+    # aa = 0 with ab = ba: (aab, aba) and (aba, baa) are one swap apart
+    # but three steps through zero, so only the direct-route search of
+    # the zero class finds d = 1; row maxima never show it.
+    entry = CatalogEntry("comm-aa0", Presentation(
+        Alphabet("ab"), (("ab", "ba"), ("aa", ZERO))), "ba", "test")
+    seen = {}
+    record = dehn._ClassOutcome.record
+
+    def spy(self, m, d, u, v):
+        seen[min((u, v), (v, u), key=lambda t: [(len(w), w) for w in t])] = d
+        record(self, m, d, u, v)
+
+    monkeypatch.setattr(dehn._ClassOutcome, "record", spy)
+    res = dehn_profile(entry.presentation, 6, slack=2,
+                       precedence=entry.precedence)
+    expected = brute_pair_areas(entry, 6, 2)
+    assert seen == expected
+    assert res.resolved_pairs == len(expected) == 25
+    assert seen[("aab", "aba")] == seen[("aba", "baa")] == 1
 
 
 def test_profile_independent_of_jobs():
