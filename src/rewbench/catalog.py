@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .core import ZERO, Presentation, Alphabet, RewritingSystem, orient
 
@@ -35,12 +35,14 @@ class CatalogEntry:
         return orient(self.presentation, self.precedence)
 
 
+@cache
 def build_mn(n: int) -> CatalogEntry:
     """The n-th congruence-free monoid on a, b, c, d.
 
     Relations: a^n b = 0, ac = 1, db = 1, dc = 1, and d a^k b = 1 for
     1 <= k <= n-1 (n + 3 relations in total).  Oriented under the
     precedence a < b < c < d the rules are complete with no overlaps.
+    Memoized, so each n builds its ``system`` once.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -6,7 +6,8 @@ CSV; identical argv always produces byte-identical output.
 
 Exit codes: 0 the operation succeeded or the checked claim holds,
 1 the claim is refuted, 2 the answer is undetermined or a resource
-limit was hit, 3 malformed input.
+limit was hit, 3 malformed input.  Warnings, such as a skipped trivial
+relation, go to stderr as ``warning:`` lines.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from typing import Iterable, Optional
 
@@ -32,7 +34,6 @@ from .core import (
     Presentation,
     PresentationSyntaxError,
     RewritingSystem,
-    StepBudgetExceededError,
     UnorientableRelationError,
     dump_presentation,
     format_element,
@@ -53,8 +54,6 @@ EXIT_INPUT = 3
 
 # words longer than this have no business on a command line
 MAX_CLI_N = 64
-
-FALLBACK_CLI_STEPS = 100_000
 
 
 class _CliError(Exception):
@@ -195,16 +194,6 @@ def _load(args: argparse.Namespace,
     return p, precedence, system, entry
 
 
-def _load_terminating(args: argparse.Namespace,
-                      ) -> tuple[Presentation, str, RewritingSystem,
-                                 Optional[CatalogEntry]]:
-    """``_load`` for subcommands that normalize without a step budget."""
-    loaded = _load(args)
-    if not loaded[2].terminating:
-        raise _CliError(f"{args.subcommand} needs a terminating orientation")
-    return loaded
-
-
 def _no_source(args: argparse.Namespace) -> None:
     if args.catalog is not None or args.file is not None:
         raise _CliError(f"{args.subcommand} takes no input system")
@@ -237,14 +226,10 @@ def _emit(args: argparse.Namespace, obj: object, lines: list[str],
         writer.writerows(table[1])
 
 
-def _normalize_budget(system: RewritingSystem) -> Optional[int]:
-    return None if system.terminating else FALLBACK_CLI_STEPS
-
-
 def _cmd_normalize(args: argparse.Namespace) -> int:
     p, _, system, _ = _load(args)
     word = _parse_word(p, args.word)
-    nf = format_element(normalize(system, word, _normalize_budget(system)))
+    nf = format_element(normalize(system, word))
     _emit(args, {"input": args.word, "normalForm": nf}, [nf])
     return EXIT_OK
 
@@ -253,11 +238,9 @@ def _cmd_equal(args: argparse.Namespace) -> int:
     p, _, system, _ = _load(args)
     u = _parse_word(p, args.u, allow_zero=True)
     v = _parse_word(p, args.v, allow_zero=True)
-    budget = _normalize_budget(system)
-    nu = normalize(system, u, budget)
-    nv = normalize(system, v, budget)
-    complete = system.terminating \
-        and check_local_confluence(system).locally_confluent
+    nu = normalize(system, u)
+    nv = normalize(system, v)
+    complete = check_local_confluence(system).locally_confluent
     if nu == nv:
         verdict: Optional[bool] = True
     elif complete:
@@ -344,7 +327,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    p, _, system, entry = _load_terminating(args)
+    p, _, system, entry = _load(args)
     word = _parse_word(p, args.word)
     _nonnegative(args, "--max-len")
     _nonnegative(args, "--max-nodes")
@@ -372,7 +355,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    p, _, system, _ = _load_terminating(args)
+    p, _, system, _ = _load(args)
     u = _parse_word(p, args.u, allow_zero=True)
     v = _parse_word(p, args.v, allow_zero=True)
     _nonnegative(args, "--radius")
@@ -400,7 +383,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe_all(args: argparse.Namespace) -> int:
-    _, _, system, _ = _load_terminating(args)
+    _, _, system, _ = _load(args)
     _nonnegative(args, "--seed-len", "--radius")
     summary = probe_all_pairs(system, args.seed_len, args.radius,
                               jobs=args.jobs)
@@ -575,20 +558,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write("error: --jobs must be >= 1\n")
         return EXIT_INPUT
     handler = _HANDLERS[args.subcommand]
-    try:
-        return handler(args)
-    except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return exc.code
-    except StepBudgetExceededError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_UNDETERMINED
-    except BrokenProcessPool:
-        sys.stderr.write("error: a worker process died\n")
-        return EXIT_UNDETERMINED
-    except KeyboardInterrupt:
-        sys.stderr.write("error: interrupted\n")
-        return EXIT_UNDETERMINED
+    code, error = EXIT_UNDETERMINED, None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            code = handler(args)
+        except _CliError as exc:
+            code, error = exc.code, str(exc)
+        except BrokenProcessPool:
+            error = "a worker process died"
+        except KeyboardInterrupt:
+            error = "interrupted"
+    # each distinct warning once: complete, dehn and dehn-profile orient twice
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        sys.stderr.write(f"warning: {message}\n")
+    if error is not None:
+        sys.stderr.write(f"error: {error}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ produce identical rule lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -129,17 +129,17 @@ def _apply_at(word: str, pos: int, rule: Rule) -> Element:
     return word[:pos] + rule.rhs + word[pos + len(rule.lhs):]
 
 
-def critical_pairs(system: RewritingSystem,
-                   max_steps: Optional[int] = None) -> list[CriticalPair]:
+def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
     """Reducts of every overlap word, each checked for joinability.
 
     Joinability compares deterministic normal forms; a ZERO reduct only
     joins with a reduct that also normalizes to ZERO.  When the system
-    is not certified terminating, each normalization runs under a step
-    budget and a blown budget leaves the pair Unresolved.
+    is not certified terminating (only a hand-built rule list can fail
+    the certificate), each normalization runs under
+    ``FALLBACK_NORMALIZE_STEPS`` and a blown budget leaves the pair
+    Unresolved.
     """
-    if max_steps is None and not system.terminating:
-        max_steps = FALLBACK_NORMALIZE_STEPS
+    max_steps = None if system.terminating else FALLBACK_NORMALIZE_STEPS
     pairs: list[CriticalPair] = []
     for ov in overlaps(system):
         r1 = system.rules[ov.rule1]
@@ -161,14 +161,13 @@ def critical_pairs(system: RewritingSystem,
     return pairs
 
 
-def check_local_confluence(system: RewritingSystem,
-                           max_steps: Optional[int] = None) -> ConfluenceReport:
+def check_local_confluence(system: RewritingSystem) -> ConfluenceReport:
     """Joins every critical pair and reports the stragglers.
 
     With termination, an all-joinable answer certifies the system is
     complete; without it the report is only evidence.
     """
-    pairs = critical_pairs(system, max_steps)
+    pairs = critical_pairs(system)
     unresolved = tuple(p for p in pairs if not p.joinable)
     return ConfluenceReport(
         locally_confluent=not unresolved,
@@ -200,12 +199,12 @@ def knuth_bendix(p: Presentation, precedence: str = "",
         for pair in critical_pairs(system):
             if pair.joinable:
                 continue
-            left_nf = normalize(system, pair.left)
-            right_nf = normalize(system, pair.right)
-            if left_nf == right_nf:
-                continue
-            rule = orient_equation(left_nf, right_nf, order, _COLLAPSED)
-            if rule not in rules and rule not in new_rules:
+            # an unjoined pair's normal forms differ, and the new lhs is
+            # a normal form of ``system``, so no rule in ``rules`` has it
+            rule = orient_equation(normalize(system, pair.left),
+                                   normalize(system, pair.right), order,
+                                   _COLLAPSED)
+            if rule not in new_rules:
                 new_rules.append(rule)
         if not new_rules:
             return CompletionOutcome(True, system, steps)

@@ -20,7 +20,7 @@ longest left-hand side, then by lowest rule index.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .matcher import FactorMatcher
@@ -270,9 +270,10 @@ class RewritingSystem:
     ``terminating`` records whether every rule strictly decreases the
     shortlex order (a zero rhs always counts as decreasing).  The check
     is sound but not complete: False means this cheap certificate
-    failed, not that the system necessarily loops.  All catalog systems
-    pass it.  Systems that fail it can still be constructed, but
-    normalize() demands an explicit step budget for them.
+    failed, not that the system necessarily loops.  Every system built
+    by ``orient`` or ``knuth_bendix`` passes it; only a rule list passed
+    here by hand can fail it.  Such systems can still be constructed,
+    but normalize() demands an explicit step budget for them.
     """
 
     def __init__(self, alphabet: Alphabet, rules: Iterable[Rule]):
@@ -298,6 +299,9 @@ def orient(p: Presentation, precedence: str = "") -> RewritingSystem:
     smaller one under shortlex with the given precedence.
 
     ZERO sits below every word, so ``u = 0`` always becomes ``u -> 0``.
+    Every rule decreases shortlex, a well-order compatible with
+    concatenation, so the system always terminates: only a hand-built
+    ``RewritingSystem`` can fail its ``terminating`` certificate.
     Trivial relations ``u = u`` are skipped with a warning.  A relation
     that would need an empty lhs (``1 = 0``) is rejected: it forces the
     whole monoid onto the zero element and has no rule form here.
@@ -388,20 +392,18 @@ def normalize(system: RewritingSystem, word: Element,
             pos = 0
 
 
-def product(system: RewritingSystem, x: Element, y: Element,
-            max_steps: Optional[int] = None) -> Element:
+def product(system: RewritingSystem, x: Element, y: Element) -> Element:
     """Monoid product of two elements, returned in normal form."""
     if x is ZERO or y is ZERO:
         return ZERO
-    return normalize(system, x + y, max_steps)
+    return normalize(system, x + y)
 
 
-def equal_in_monoid(system: RewritingSystem, u: Element, v: Element,
-                    max_steps: Optional[int] = None) -> bool:
+def equal_in_monoid(system: RewritingSystem, u: Element, v: Element) -> bool:
     """Equality through normal forms.
 
     Sound and complete only when the system is complete (terminating
     and locally confluent); for other systems this is just a one-sided
     check that the deterministic reducts coincide.
     """
-    return normalize(system, u, max_steps) == normalize(system, v, max_steps)
+    return normalize(system, u) == normalize(system, v)

@@ -192,14 +192,13 @@ def dehn_area(p: Presentation, u: str, v: str, *,
         max_len = max(len(u), len(v)) + DEFAULT_SLACK
     if max(len(u), len(v)) > max_len:
         raise ValueError("max_len is smaller than an input word")
-    system: Optional[RewritingSystem] = None
     try:
-        candidate = orient(p, precedence)
+        system: Optional[RewritingSystem] = orient(p, precedence)
     except UnorientableRelationError:
-        candidate = None
-    if candidate is not None and candidate.terminating \
-            and check_local_confluence(candidate).locally_confluent:
-        system = candidate
+        system = None
+    if system is not None \
+            and not check_local_confluence(system).locally_confluent:
+        system = None
     if system is not None and normalize(system, u) != normalize(system, v):
         return AreaResult(NOT_EQUAL)
     neighbors = partial(_word_neighbors, moves=_relation_moves(p),
@@ -575,8 +574,7 @@ def dehn_profile(p: Presentation, n_max: int, *,
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     system = orient(p, precedence)
-    if not system.terminating \
-            or not check_local_confluence(system).locally_confluent:
+    if not check_local_confluence(system).locally_confluent:
         raise ValueError("profile needs a complete oriented system")
     moves = _relation_moves(p)
     max_len = n_max + slack

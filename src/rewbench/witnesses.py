@@ -14,24 +14,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .catalog import build_mn
-from .core import ZERO, RewritingSystem, is_zero, normalize
+from .core import RewritingSystem, is_zero, normalize
 
 
 @dataclass(frozen=True)
 class WitnessPair:
     x: str
     y: str
-
-
-_MN_CACHE: dict[int, RewritingSystem] = {}
-
-
-def _mn_system(n: int) -> RewritingSystem:
-    sys = _MN_CACHE.get(n)
-    if sys is None:
-        sys = build_mn(n).system
-        _MN_CACHE[n] = sys
-    return sys
 
 
 def unit_witness_mn(n: int, w: str) -> WitnessPair:
@@ -44,7 +33,7 @@ def unit_witness_mn(n: int, w: str) -> WitnessPair:
     power a^k cancels against y = c^k.  The result has |x| + |y| <= |w|
     letters of padding per removed letter, hence total length O(|w|).
     """
-    system = _mn_system(n)
+    system = build_mn(n).system
     if normalize(system, w) != w:
         raise ValueError(f"{w!r} is zero or not a normal form in M{n}")
     x_parts: list[str] = []

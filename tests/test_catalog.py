@@ -47,6 +47,15 @@ def test_get_entry_uncapped_family_index():
     assert entry.system.terminating
 
 
+def test_build_mn_is_memoized_with_its_system():
+    entry = build_mn(7)
+    system = entry.system
+    assert get_entry("M7") is entry and build_mn(7).system is system
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build_mn(0)
+
+
 def test_get_entry_unknown_name():
     with pytest.raises(KeyError):
         get_entry("M0")

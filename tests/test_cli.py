@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -469,6 +470,27 @@ def test_worker_crash_or_interrupt_exits_2_without_traceback(
     code, out, err = run(capsys, "--jobs", "2", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_TRIVIAL = "generators: a b\nrelations:\nab = ab\nba = ab\n1 = 1\nab = ab\n"
+
+
+@pytest.mark.parametrize("argv,code,out,error", [
+    (["normalize", "bab"], 0, "abb\n", ""),
+    (["complete"], 0, "completed: true, rules: 1, steps: 0\nba -> ab\n", ""),
+    (["dehn", "ba", "ab"], 0, "area: 1\nderivation: ba -> ab\n", ""),
+    (["normalize", "xyz"], 3, "", "error: letter 'x' not in alphabet 'ab'\n"),
+], ids=["normalize", "complete", "dehn", "input-error"])
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_trivial_relation_warns_once_per_message(capsys, tmp_path, argv, code,
+                                                 out, error, action):
+    path = tmp_path / "trivial.rws"
+    path.write_text(_TRIVIAL)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        got = run(capsys, "--file", str(path), *argv)
+    assert got == (code, out, "warning: skipping trivial relation ab = ab\n"
+                   "warning: skipping trivial relation 1 = 1\n" + error)
 
 
 def test_unknown_subcommand_exits_3(capsys):

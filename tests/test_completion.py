@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from oracles import closure_equal
 from rewbench.catalog import get_entry
 from rewbench.completion import (
     CONTAINMENT,
+    FALLBACK_NORMALIZE_STEPS,
     SUFFIX_PREFIX,
     CompletionLimits,
     check_local_confluence,
@@ -18,8 +22,11 @@ from rewbench.core import (
     Presentation,
     Rule,
     RewritingSystem,
+    StepBudgetExceededError,
     UnorientableRelationError,
     equal_in_monoid,
+    normalize,
+    orient,
 )
 
 
@@ -145,3 +152,57 @@ def test_knuth_bendix_detects_collapse_to_zero():
     p = Presentation(Alphabet("a", "a"), (("a", ""), ("a", ZERO)))
     with pytest.raises(UnorientableRelationError):
         knuth_bendix(p)
+
+
+def test_critical_pairs_of_nonterminating_system_run_under_fallback_budget():
+    system = RewritingSystem(Alphabet("ab"), [Rule("a", "aa"), Rule("a", "b")])
+    report = check_local_confluence(system)
+    assert not report.terminating and not report.locally_confluent
+    assert report.critical_pair_count == 2 and len(report.unresolved) == 2
+    for pair in report.unresolved:
+        assert {pair.left, pair.right} == {"aa", "b"}
+        assert pair.witness is None
+    # "aa" never reaches a normal form: a -> aa fires first at every a
+    with pytest.raises(StepBudgetExceededError):
+        normalize(system, "aa", FALLBACK_NORMALIZE_STEPS)
+
+
+def _random_presentations(rng, count):
+    """2-3 letters, 1-3 relations with sides of 0-4 letters or zero, plus
+    a repeat of one of them in about a third; ``1 = 0`` is left out
+    because it has no rule form."""
+    def side(letters):
+        if rng.random() < 0.15:
+            return ZERO
+        return "".join(rng.choice(letters) for _ in range(rng.randrange(5)))
+
+    made = 0
+    while made < count:
+        letters = "abc"[:rng.randrange(2, 4)]
+        relations = [(side(letters), side(letters))
+                     for _ in range(rng.randrange(1, 4))]
+        if rng.random() < 0.3:
+            relations.append(rng.choice(relations))
+        if any({x, y} in ({"", ZERO}, {ZERO}) for x, y in relations):
+            continue
+        made += 1
+        yield Presentation(Alphabet(letters), tuple(relations))
+
+
+@pytest.mark.filterwarnings("ignore:skipping trivial relation")
+def test_oriented_and_completed_systems_are_terminating():
+    rng = random.Random(5)
+    outcomes = {"completed": 0, "limited": 0, "collapsed": 0}
+    for p in _random_presentations(rng, 400):
+        for precedence in itertools.permutations(p.alphabet.letters):
+            assert orient(p, "".join(precedence)).terminating
+        precedence = "".join(rng.sample(p.alphabet.letters,
+                                        len(p.alphabet.letters)))
+        try:
+            outcome = knuth_bendix(p, precedence, CompletionLimits(10, 8, 20))
+        except UnorientableRelationError:
+            outcomes["collapsed"] += 1
+            continue
+        assert outcome.system.terminating
+        outcomes["completed" if outcome.completed else "limited"] += 1
+    assert min(outcomes.values()) > 0, outcomes
