@@ -569,7 +569,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             error = "a worker process died"
         except KeyboardInterrupt:
             error = "interrupted"
-    # each distinct warning once: complete, dehn and dehn-profile orient twice
+    # each distinct warning once: complete orients twice, and dehn and
+    # dehn-profile do too on a presentation's first Dehn query
     for message in dict.fromkeys(str(w.message) for w in caught):
         sys.stderr.write(f"warning: {message}\n")
     if error is not None:

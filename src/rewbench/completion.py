@@ -57,13 +57,23 @@ class Overlap:
 
 @dataclass(frozen=True)
 class CriticalPair:
-    """The two one-step reducts of an overlap word and their verdict."""
+    """The two one-step reducts of an overlap word and their normal
+    forms; both forms are None when the fallback step budget ran out."""
 
     overlap: Overlap
     left: Element
     right: Element
-    joinable: bool
-    witness: Optional[Element] = None
+    left_nf: Optional[Element] = None
+    right_nf: Optional[Element] = None
+
+    @property
+    def joinable(self) -> bool:
+        return self.left_nf is not None and self.left_nf == self.right_nf
+
+    @property
+    def witness(self) -> Optional[Element]:
+        """The common normal form of a joinable pair, else None."""
+        return self.left_nf if self.joinable else None
 
 
 @dataclass(frozen=True)
@@ -152,12 +162,8 @@ def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
             left_nf = normalize(system, left, max_steps)
             right_nf = normalize(system, right, max_steps)
         except StepBudgetExceededError:
-            pairs.append(CriticalPair(ov, left, right, False))
-            continue
-        if left_nf == right_nf:
-            pairs.append(CriticalPair(ov, left, right, True, left_nf))
-        else:
-            pairs.append(CriticalPair(ov, left, right, False))
+            left_nf = right_nf = None
+        pairs.append(CriticalPair(ov, left, right, left_nf, right_nf))
     return pairs
 
 
@@ -201,8 +207,7 @@ def knuth_bendix(p: Presentation, precedence: str = "",
                 continue
             # an unjoined pair's normal forms differ, and the new lhs is
             # a normal form of ``system``, so no rule in ``rules`` has it
-            rule = orient_equation(normalize(system, pair.left),
-                                   normalize(system, pair.right), order,
+            rule = orient_equation(pair.left_nf, pair.right_nf, order,
                                    _COLLAPSED)
             if rule not in new_rules:
                 new_rules.append(rule)

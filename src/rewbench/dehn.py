@@ -9,22 +9,24 @@ is never expanded (everything containing a zero pattern would be its
 neighbor); paths through zero are still found because both search
 directions may reach it.
 
-``dehn_area`` answers one pair with a bidirectional breadth-first
-search.  ``dehn_profile`` aggregates max area over all equal pairs
-with bounded total length; all pairs of one equivalence class are
-resolved together, against a shared class graph when the class has
-partners longer than half the budget and pair by pair otherwise.
-Budgeted searches that give up are counted per row, never dropped.
+Two searches do all the work: ``_bidi_search``, a bidirectional
+breadth-first search between two vertices, and ``_layers``, the
+distance layers around one vertex.  ``dehn_area`` answers one pair
+with the first.  ``dehn_profile`` aggregates max area over all equal
+pairs with bounded total length; all pairs of one equivalence class are
+resolved together, against a shared class graph (discovered and swept
+by ``_layers``) when the class has partners longer than half the
+budget and pair by pair otherwise.  Budgeted searches that give up are
+counted per row, never dropped.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Hashable, Optional
+from functools import cache, partial
+from typing import Callable, Hashable, Iterator, Optional
 
 from .completion import check_local_confluence
 from .core import (
@@ -84,21 +86,21 @@ def _relation_moves(p: Presentation) -> list[tuple[str, Element]]:
 
 def _word_neighbors(word: str, moves: list[tuple[str, Element]],
                     max_len: int) -> list[Element]:
-    """One-step rewrites of ``word``, deduplicated, generation order.
+    """One-step rewrites of ``word`` in generation order.
 
-    An empty pattern matches before every letter and at the end, so an
-    x = 1 relation inserts x at every position on the way back up.
-    This is the profile's hot loop: moves whose result length exceeds
-    max_len are skipped before scanning for occurrences.
+    A rewrite reached twice (by two moves or positions, or ZERO by two
+    zero relations) is listed twice; every caller keeps the first
+    through its own visited map.  An empty pattern matches before every
+    letter and at the end, so an x = 1 relation inserts x at every
+    position on the way back up.  This is the profile's hot loop: moves
+    whose result would exceed max_len are skipped before scanning.
     """
     out: list[Element] = []
-    seen: set[Element] = set()
     wlen = len(word)
     find = word.find
     for pat, rep in moves:
         if rep is ZERO:
-            if ZERO not in seen and pat in word:
-                seen.add(ZERO)
+            if pat in word:
                 out.append(ZERO)
             continue
         plen = len(pat)
@@ -106,16 +108,31 @@ def _word_neighbors(word: str, moves: list[tuple[str, Element]],
             continue
         pos = find(pat)
         while pos != -1:
-            nxt = word[:pos] + rep + word[pos + plen:]
-            if nxt not in seen:
-                seen.add(nxt)
-                out.append(nxt)
+            out.append(word[:pos] + rep + word[pos + plen:])
             pos = find(pat, pos + 1)
     return out
 
 
 class _SearchLimit(Exception):
     pass
+
+
+def _layers(source: Hashable, neighbors: Callable[[Hashable], list],
+            ) -> Iterator[list]:
+    """The vertices at distance 0, 1, 2, ... from ``source``, one list
+    per distance in discovery order; ZERO is never entered.  Lazy: a
+    layer is expanded only when the next one is asked for."""
+    seen = {source}
+    layer = [source]
+    while layer:
+        yield layer
+        nxt = []
+        for node in layer:
+            for nb in neighbors(node):
+                if nb is not ZERO and nb not in seen:
+                    seen.add(nb)
+                    nxt.append(nb)
+        layer = nxt
 
 
 def _bidi_search(u: Hashable, v: Hashable,
@@ -175,6 +192,16 @@ def _bidi_search(u: Hashable, v: Hashable,
     return best[0], best[1], par_f, par_b
 
 
+@cache
+def _complete_orientation(p: Presentation,
+                          precedence: str) -> Optional[RewritingSystem]:
+    """``orient(p, precedence)`` if all its critical pairs join, else
+    None; memoized without bound, like ``catalog.build_mn``.  An
+    UnorientableRelationError is not cached: every call raises it."""
+    system = orient(p, precedence)
+    return system if check_local_confluence(system).locally_confluent else None
+
+
 def dehn_area(p: Presentation, u: str, v: str, *,
               max_len: Optional[int] = None,
               max_nodes: int = 1_000_000,
@@ -193,11 +220,8 @@ def dehn_area(p: Presentation, u: str, v: str, *,
     if max(len(u), len(v)) > max_len:
         raise ValueError("max_len is smaller than an input word")
     try:
-        system: Optional[RewritingSystem] = orient(p, precedence)
+        system = _complete_orientation(p, precedence)
     except UnorientableRelationError:
-        system = None
-    if system is not None \
-            and not check_local_confluence(system).locally_confluent:
         system = None
     if system is not None and normalize(system, u) != normalize(system, v):
         return AreaResult(NOT_EQUAL)
@@ -306,54 +330,6 @@ class _ClassOutcome:
         self.limited_by_m[m] = self.limited_by_m.get(m, 0) + 1
 
 
-def _discover_class(root: str, moves: list[tuple[str, Element]],
-                    max_len: int, budget: int,
-                    ) -> Optional[tuple[list[str], dict[str, int], list[list[int]]]]:
-    """Breadth-first closure of one equivalence class inside max_len.
-
-    Oriented rules never grow a word, so every class member of length
-    <= max_len is connected to the shortest one inside the ball; the
-    closure is the full member list.  Returns None on budget blowout.
-    """
-    words = [root]
-    index = {root: 0}
-    adj: list[list[int]] = [[]]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        row = adj[i]
-        for nb in _word_neighbors(words[i], moves, max_len):
-            if nb is ZERO:
-                continue
-            j = index.get(nb)
-            if j is None:
-                j = len(words)
-                if j > budget:
-                    return None
-                index[nb] = j
-                words.append(nb)
-                adj.append([])
-                queue.append(j)
-            row.append(j)
-    return words, index, adj
-
-
-def _bfs_adjacency(adj: list[list[int]], source: int) -> list[int]:
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt: list[int] = []
-        for i in frontier:
-            d = dist[i] + 1
-            for j in adj[i]:
-                if dist[j] == -1:
-                    dist[j] = d
-                    nxt.append(j)
-        frontier = nxt
-    return dist
-
-
 def _resolve_pairs(out: _ClassOutcome, ordered: list[str], n_max: int,
                    vertex: Callable[[str], Hashable],
                    neighbors: Callable[[Hashable], list],
@@ -383,30 +359,60 @@ def _resolve_nonzero_class(nf: str, members: list[str], n_max: int,
     ``members`` are the class members of length <= n_max // 2; the
     class normal form is the shortest member.  When some member is
     short enough to pair with a partner beyond that bound, the class
-    graph is discovered once: such sources get a full single-source
-    sweep and the remaining member pairs reuse the graph.  Classes
+    graph is discovered once, breadth-first from the normal form:
+    oriented rules never grow a word, so every member of length
+    <= max_len is connected to it inside the ball.  Such deep sources
+    get a full single-source sweep (the normal form's is the discovery
+    itself) and the remaining member pairs reuse the graph.  Classes
     whose pairs stay among the known short members skip discovery and
     run one bidirectional word search per pair.
     """
     out = _ClassOutcome(label=nf if nf else "1")
     half = n_max // 2
     deep_threshold = n_max - half - 1
-    min_len = len(nf)
-    if min_len > deep_threshold:
+    if len(nf) > deep_threshold:
         _resolve_pairs(out, sorted(members, key=codepoint_key), n_max,
                        lambda w: w,
                        partial(_word_neighbors, moves=moves, max_len=max_len),
                        limits.max_pair_nodes)
         return out
-    discovered = _discover_class(nf, moves, max_len,
-                                 limits.max_class_vertices)
-    if discovered is None:
+    words = [nf]
+    index = {nf: 0}
+    adj: list[list[int]] = []
+
+    def expand(i: int) -> list[int]:
+        # _layers yields and expands vertices in id order, so row i
+        # lands at adj[i] and nf_dist[i] is the distance of words[i]
+        row = []
+        for nb in _word_neighbors(words[i], moves, max_len):
+            if nb is ZERO:
+                continue
+            j = index.get(nb)
+            if j is None:
+                j = len(words)
+                if j > limits.max_class_vertices:
+                    raise _SearchLimit
+                index[nb] = j
+                words.append(nb)
+            row.append(j)
+        adj.append(row)
+        return row
+
+    nf_dist: list[int] = []
+    try:
+        for d, layer in enumerate(_layers(0, expand)):
+            nf_dist += [d] * len(layer)
+    except _SearchLimit:
         out.incomplete = True
         return out
-    words, index, adj = discovered
     deep_sources = [w for w in members if len(w) <= deep_threshold]
     for u in sorted(deep_sources, key=codepoint_key):
-        dist = _bfs_adjacency(adj, index[u])
+        dist = nf_dist
+        if u != nf:
+            dist = [-1] * len(words)
+            for d, layer in enumerate(_layers(index[u], adj.__getitem__)):
+                for j in layer:
+                    dist[j] = d
         ku = codepoint_key(u)
         for j, v in enumerate(words):
             m = len(u) + len(v)
@@ -427,30 +433,23 @@ def _resolve_nonzero_class(nf: str, members: list[str], n_max: int,
 
 
 def _distance_to_zero(w: str, zero_matcher: FactorMatcher,
-                      moves: list[tuple[str, Element]], max_len: int,
+                      neighbors: Callable[[str], list],
                       budget: int) -> Optional[int]:
-    """Exact distance from a zero word to the zero vertex."""
+    """Exact distance from a zero word to the zero vertex, or None once
+    more than ``budget`` words without a zero pattern are reached (w
+    itself counts among them but never trips the budget)."""
     if zero_matcher.contains(w):
         return 1
-    seen = {w}
-    frontier = [w]
-    depth = 0
     nodes = 1
-    while frontier:
-        depth += 1
-        nxt: list[str] = []
-        for node in frontier:
-            for nb in _word_neighbors(node, moves, max_len):
-                if nb is ZERO or nb in seen:
-                    continue
-                if zero_matcher.contains(nb):
-                    return depth + 1
-                seen.add(nb)
-                nodes += 1
-                if nodes > budget:
-                    return None
-                nxt.append(nb)
-        frontier = nxt
+    layers = _layers(w, neighbors)
+    next(layers)
+    for depth, layer in enumerate(layers, 2):
+        for x in layer:
+            if zero_matcher.contains(x):
+                return depth
+            nodes += 1
+            if nodes > budget:
+                return None
     return None
 
 
@@ -473,47 +472,24 @@ def _resolve_zero_class(system: RewritingSystem, short_zeros: list[str],
     zero_matcher = FactorMatcher(system.alphabet.letters, zero_patterns)
     min_zero_len = min(len(w) for w in short_zeros)
     partner_cap = n_max - min_zero_len
-    members: list[str] = []
-    for w in _all_words(system.alphabet.precedence, partner_cap):
-        if is_zero(normalize(system, w)):
-            members.append(w)
-    d0: dict[str, Optional[int]] = {}
-    for w in members:
-        d0[w] = _distance_to_zero(w, zero_matcher, moves, max_len,
-                                  limits.max_zero_ball)
+    members = [w for w in _all_words(system.alphabet.precedence, partner_cap)
+               if is_zero(normalize(system, w))]
+    neighbors = partial(_word_neighbors, moves=moves, max_len=max_len)
+    d0 = {w: _distance_to_zero(w, zero_matcher, neighbors,
+                               limits.max_zero_ball) for w in members}
     word_deltas = [abs(len(pat) - len(rep))
                    for pat, rep in moves if rep is not ZERO]
     max_delta = max(word_deltas, default=0)
     half = n_max // 2
     shorts = [w for w in members if len(w) <= half]
-    balls: dict[str, Optional[list[set[str]]]] = {}
-
-    def ball_layers(u: str, depth: int) -> Optional[list[set[str]]]:
-        """Distance layers around u in the word graph, zero excluded.
-
-        None once the ball exceeds the node budget; the failure is
-        remembered so each source pays for it at most once.
-        """
-        layers = balls.get(u, [{u}])
-        if layers is None:
-            return None
-        while len(layers) <= depth:
-            previous: set[str] = set().union(*layers)
-            if len(previous) > limits.max_zero_ball:
-                balls[u] = None
-                return None
-            nxt: set[str] = set()
-            for node in sorted(layers[-1]):
-                for nb in _word_neighbors(node, moves, max_len):
-                    if nb is not ZERO and nb not in previous:
-                        nxt.add(nb)
-            layers.append(nxt)
-        balls[u] = layers
-        return layers
-
     for u in sorted(shorts, key=codepoint_key):
         ku = codepoint_key(u)
         du = d0[u]
+        # distances from u found so far, zero excluded; None for good
+        # once the words found before some layer exceed the budget
+        layers = _layers(u, neighbors)
+        ball: Optional[dict[str, int]] = dict.fromkeys(next(layers), 0)
+        radius = 0
         for v in members:
             m = len(u) + len(v)
             if m > n_max or codepoint_key(v) <= ku:
@@ -531,14 +507,16 @@ def _resolve_zero_class(system: RewritingSystem, short_zeros: list[str],
             if lower < through:
                 # a direct route beating the through-zero sum must stay
                 # within depth through-1 of u
-                layers = ball_layers(u, through - 1)
-                if layers is None:
+                while ball is not None and radius < through - 1:
+                    if len(ball) > limits.max_zero_ball:
+                        ball = None
+                    else:
+                        radius += 1
+                        ball.update(dict.fromkeys(next(layers, ()), radius))
+                if ball is None:
                     out.record_limited(m)
                     continue
-                for depth in range(1, through):
-                    if v in layers[depth]:
-                        d = depth
-                        break
+                d = min(ball.get(v, through), through)
             out.record(m, d, u, v)
     return out
 
@@ -573,8 +551,10 @@ def dehn_profile(p: Presentation, n_max: int, *,
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    system = orient(p, precedence)
-    if not check_local_confluence(system).locally_confluent:
+    if slack < 0:
+        raise ValueError("slack must be >= 0")
+    system = _complete_orientation(p, precedence)
+    if system is None:
         raise ValueError("profile needs a complete oriented system")
     moves = _relation_moves(p)
     max_len = n_max + slack

@@ -1,0 +1,203 @@
+"""Golden digests of derivation-area and completion outcomes.
+
+Each value in ``tests/golden.json`` is the SHA-256 of the outcomes of one
+group of calls, so a refactor that must keep behaviour identical is
+checked against the commit it started from (``tests/test_golden.py``).
+To write the file, from the root of a checkout:
+
+    PYTHONPATH=src python3 tests/make_golden.py
+
+Generate it at the commit before a change, never to make a changed
+outcome pass; a change that alters a digest names the key and the
+reason in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from oracles import one_step, relation_edges
+from rewbench.catalog import get_entry
+from rewbench.completion import CompletionLimits, knuth_bendix
+from rewbench.core import (
+    ZERO,
+    Alphabet,
+    Presentation,
+    UnorientableRelationError,
+    format_element,
+)
+from rewbench.dehn import ProfileLimits, dehn_area, dehn_profile
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+WALK_SYSTEMS = ("dehn-example", "M1", "M2")
+WALKS_PER_SYSTEM = 40
+SMALL_LIMITS = (0, 1, 5, 10, 30)
+COMM_ZERO = Presentation(Alphabet("ab"), (("ab", "ba"), ("aa", ZERO)))
+NON_COMPLETE = Presentation(Alphabet("ab", "ab"), (("ab", "a"), ("ba", "b")))
+COLLAPSING = Presentation(Alphabet("ab"), (("ab", "ba"), ("", ZERO)))
+BRAID = Presentation(Alphabet("abc"),
+                     (("aba", "bab"), ("bcb", "cbc"), ("ac", "ca")))
+
+
+def _digest(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _area(p: Presentation, u: str, v: str, **kwargs) -> tuple:
+    r = dehn_area(p, u, v, **kwargs)
+    return (u, v, r.status, r.steps,
+            tuple(format_element(w) for w in r.derivation), r.reason)
+
+
+def _walk_pairs(p: Presentation, rng: random.Random) -> list[tuple[str, str]]:
+    """Seeded (start, end) pairs joined by 1-6 random relation steps."""
+    edges = [(pat, rep) for pat, rep in relation_edges(p) if rep is not ZERO]
+    letters = p.alphabet.letters
+    pairs = []
+    while len(pairs) < WALKS_PER_SYSTEM:
+        word = start = "".join(rng.choice(letters)
+                               for _ in range(rng.randint(2, 7)))
+        for _ in range(rng.randint(1, 6)):
+            options = one_step(word, edges, len(start) + 3)
+            if not options:
+                break
+            word = rng.choice(options)
+        if word != start:
+            pairs.append((start, word))
+    return pairs
+
+
+def area_digests() -> dict[str, str]:
+    rng = random.Random(20261018)
+    out: dict[str, str] = {}
+    for name in WALK_SYSTEMS:
+        entry = get_entry(name)
+        p, prec = entry.presentation, entry.precedence
+        out[f"walk:{name}"] = _digest(
+            _area(p, u, v, precedence=prec) for u, v in _walk_pairs(p, rng))
+        letters = p.alphabet.letters
+        unequal = [("".join(rng.choice(letters) for _ in range(rng.randint(0, 5))),
+                    "".join(rng.choice(letters) for _ in range(rng.randint(0, 5))))
+                   for _ in range(30)]
+        out[f"random:{name}"] = _digest(
+            _area(p, u, v, precedence=prec) for u, v in unequal)
+    dehn = get_entry("dehn-example")
+    p, prec = dehn.presentation, dehn.precedence
+    out["commutator"] = _digest(
+        _area(p, "a" * k + "b" * k, "b" * k + "a" * k, precedence=prec,
+              max_len=max_len)
+        for k in range(1, 5) for max_len in (2 * k, None))
+    out["max_nodes"] = _digest(
+        _area(p, u, v, precedence=prec, max_nodes=budget)
+        for u, v in (("aabb", "bbaa"), ("caabbd", ""), ("cabd", "cbad"))
+        for budget in range(1, 61))
+    words = ["", "a", "b", "aa", "ab", "ba", "bb", "aab", "bba", "abab"]
+    out["non-complete"] = _digest(
+        _area(NON_COMPLETE, u, v, max_len=max_len)
+        for u in words for v in words for max_len in (4, 6))
+    out["collapsing"] = _digest(
+        _area(COLLAPSING, u, v) for u in words[:6] for v in words[:6])
+    return out
+
+
+def _edges(sizes: tuple[int, ...]) -> list[int]:
+    """Budgets one and two below each size, and the size itself."""
+    return sorted({s + k for s in sizes for k in (-2, -1, 0)})
+
+
+# (label, presentation, n_max, precedence, slack, {limit: values}).
+# Beside the small values, max_class_vertices sweeps the edges of the
+# deep class sizes at that slack, and max_zero_ball the range where
+# zero-class answers change, so an off-by-one in either budget shows.
+PROFILE_SWEEPS = (
+    ("dehn-example", get_entry("dehn-example").presentation, 6, "bacd", 2,
+     {"max_class_vertices": _edges((218, 271, 320, 404, 418, 427, 666))}),
+    ("M1", get_entry("M1").presentation, 6, "abcd", 2,
+     {"max_class_vertices": _edges((430, 847, 1291))}),
+    ("M1", get_entry("M1").presentation, 6, "abcd", 1,
+     {"max_zero_ball": list(range(40))}),
+    ("ab=ba,aa=0", COMM_ZERO, 7, "ba", 4,
+     {"max_class_vertices": list(range(6)),
+      "max_pair_nodes": list(range(60)),
+      "max_zero_ball": list(range(120))}),
+)
+
+
+def profile_digests() -> dict[str, str]:
+    out: dict[str, str] = {}
+    for label, p, n_max, prec, slack, sweeps in PROFILE_SWEEPS:
+        if f"{label}:default" not in out:
+            out[f"{label}:default"] = _digest(
+                [dehn_profile(p, n_max, precedence=prec)])
+        for limit in ProfileLimits.__dataclass_fields__:
+            values = sorted(set(SMALL_LIMITS) | set(sweeps.get(limit, ())))
+            out[f"{label}:slack={slack}:{limit}"] = _digest(
+                (value, dehn_profile(p, n_max, slack=slack, precedence=prec,
+                                     limits=ProfileLimits(**{limit: value})))
+                for value in values)
+    return out
+
+
+def _outcome(p: Presentation, precedence: str = "",
+             limits: CompletionLimits = CompletionLimits()) -> tuple:
+    try:
+        out = knuth_bendix(p, precedence, limits)
+    except UnorientableRelationError as exc:
+        return ("collapsed", str(exc))
+    return (out.completed, out.steps, out.reason, out.unresolved_count,
+            tuple(str(r) for r in out.system.rules))
+
+
+def _random_presentation(rng: random.Random) -> tuple[Presentation, str]:
+    """Two or three letters, one to three relations with sides of 0-4
+    letters or zero (never 1 = 0), and the default or reversed
+    precedence."""
+    letters = rng.choice(("ab", "abc"))
+    relations = []
+    for _ in range(rng.randint(1, 3)):
+        x, y = ("".join(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+                for _ in range(2))
+        if rng.random() < 0.2:
+            x, y = (x or letters[0]), ZERO
+        if x != y:
+            relations.append((x, y))
+    precedence = rng.choice(("", letters[::-1]))
+    return Presentation(Alphabet(letters), tuple(relations)), precedence
+
+
+def completion_digests() -> dict[str, str]:
+    catalog = [get_entry(f"M{n}") for n in range(10, 42)]
+    rng = random.Random(1018)
+    randoms = [_random_presentation(rng) for _ in range(300)]
+    limits = CompletionLimits(max_rules=10, max_word_len=8, max_steps=20)
+    return {
+        "random": _digest(_outcome(p, prec, limits) for p, prec in randoms),
+        "M10-M41": _digest(_outcome(e.presentation, e.precedence)
+                           for e in catalog),
+        "braid:max_rules=190": _digest(
+            [_outcome(BRAID, limits=CompletionLimits(max_rules=190))]),
+    }
+
+
+SECTIONS = {
+    "dehn_area": area_digests,
+    "dehn_profile": profile_digests,
+    "knuth_bendix": completion_digests,
+}
+
+
+def main() -> None:
+    golden = {name: compute() for name, compute in SECTIONS.items()}
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -67,6 +67,7 @@ def test_containment_overlap_with_zero_is_unresolved():
     assert report.critical_pair_count == 1
     pair = report.unresolved[0]
     assert pair.left == "" and pair.right is ZERO
+    assert (pair.left_nf, pair.right_nf) == ("", ZERO)
     assert not pair.joinable and pair.witness is None
 
 
@@ -148,6 +149,35 @@ def test_knuth_bendix_hits_limits_on_braidlike_relation():
     assert outcome.reason
 
 
+def test_knuth_bendix_orients_the_critical_pairs_normal_forms(monkeypatch):
+    # once critical_pairs has normalized a pair's reducts, completion
+    # must not normalize them again against the same system
+    from rewbench import completion
+    checked, repeats, inside = [], [], [False]
+    pairs_of, normalize_in = completion.critical_pairs, completion.normalize
+
+    def spy_pairs(system):
+        checked.append(system)
+        inside[0] = True
+        try:
+            return pairs_of(system)
+        finally:
+            inside[0] = False
+
+    def spy_normalize(system, word, *rest):
+        if not inside[0] and any(system is s for s in checked):
+            repeats.append(word)
+        return normalize_in(system, word, *rest)
+
+    monkeypatch.setattr(completion, "critical_pairs", spy_pairs)
+    monkeypatch.setattr(completion, "normalize", spy_normalize)
+    p = Presentation(Alphabet("ab", "ab"), (("aba", "bab"),))
+    outcome = knuth_bendix(p, limits=CompletionLimits(
+        max_rules=8, max_word_len=16, max_steps=500))
+    assert outcome.steps == 13 and len(checked) > 1
+    assert repeats == []
+
+
 def test_knuth_bendix_detects_collapse_to_zero():
     p = Presentation(Alphabet("a", "a"), (("a", ""), ("a", ZERO)))
     with pytest.raises(UnorientableRelationError):
@@ -162,6 +192,7 @@ def test_critical_pairs_of_nonterminating_system_run_under_fallback_budget():
     for pair in report.unresolved:
         assert {pair.left, pair.right} == {"aa", "b"}
         assert pair.witness is None
+        assert pair.left_nf is None and pair.right_nf is None
     # "aa" never reaches a normal form: a -> aa fires first at every a
     with pytest.raises(StepBudgetExceededError):
         normalize(system, "aa", FALLBACK_NORMALIZE_STEPS)

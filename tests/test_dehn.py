@@ -5,7 +5,13 @@ import pytest
 from oracles import bfs_distance, brute_pair_areas, brute_profile
 from rewbench import dehn
 from rewbench.catalog import CatalogEntry, get_entry, list_catalog
-from rewbench.core import ZERO, Alphabet, Presentation, equal_in_monoid
+from rewbench.core import (
+    ZERO,
+    Alphabet,
+    Presentation,
+    UnorientableRelationError,
+    equal_in_monoid,
+)
 from rewbench.dehn import (
     AREA,
     DEFAULT_SLACK,
@@ -220,6 +226,55 @@ def test_profile_rejects_negative_n():
     e = _dehn()
     with pytest.raises(ValueError):
         dehn_profile(e.presentation, -1, precedence=e.precedence)
+
+
+def test_profile_rejects_negative_slack():
+    # a ball below n_max would miss partners longer than n_max + slack
+    # and silently drop their pairs (D(6) would read 2, not 6)
+    e = _dehn()
+    with pytest.raises(ValueError, match="slack must be >= 0"):
+        dehn_profile(e.presentation, 6, slack=-3, precedence=e.precedence)
+    assert dehn_profile(e.presentation, 6, slack=0,
+                        precedence=e.precedence).rows[6].d == 6
+
+
+def test_complete_orientation_is_memoized(monkeypatch):
+    calls = []
+    check = dehn.check_local_confluence
+
+    def counting(system):
+        calls.append(system)
+        return check(system)
+
+    monkeypatch.setattr(dehn, "check_local_confluence", counting)
+    dehn._complete_orientation.cache_clear()
+    e = _dehn()
+    for k in range(50):
+        u = "a" * (k % 4) + "b" * (k % 3)
+        r = dehn_area(e.presentation, u, u[::-1], precedence=e.precedence)
+        assert r.status == AREA
+    dehn_profile(e.presentation, 4, precedence=e.precedence)
+    assert len(calls) == 1
+    dehn_area(e.presentation, "ab", "ba", precedence="abcd")
+    assert len(calls) == 2
+
+
+def test_collapsing_presentation_is_searched_on_every_call(monkeypatch):
+    # 1 = 0 has no rule form: the orientation error is never cached,
+    # so each area query searches words and each profile raises
+    p = Presentation(Alphabet("ab"), (("ab", "ba"), ("", ZERO)))
+    orients = []
+    orient = dehn.orient
+    monkeypatch.setattr(dehn, "orient",
+                        lambda *args: orients.append(args) or orient(*args))
+    dehn._complete_orientation.cache_clear()
+    for _ in range(3):
+        r = dehn_area(p, "aab", "baa")
+        assert (r.status, r.steps) == (AREA, 2)
+        with pytest.raises(UnorientableRelationError,
+                           match="relation 1 = 0 collapses the monoid"):
+            dehn_profile(p, 4)
+    assert len(orients) == 6
 
 
 def test_fit_power_law_recovers_exact_quadratic():
