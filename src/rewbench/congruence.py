@@ -2,9 +2,11 @@
 
 A probe saturates the congruence generated by one seed pair inside the
 ball of normal forms of length <= radius (plus ZERO), using a union-find
-over elements and a FIFO worklist of derived pairs.  Each successful
-union is an event that remembers how its pair was derived from the
-seed, so a collapse (1 falling together with 0) comes with a replayable
+over the ids of a ``_Ball`` (built once per system and radius, kept on
+the system while it lives, its one-letter products filled in on demand)
+and a FIFO worklist of derived pairs.  Each successful union is an
+event that remembers how its pair was derived from the seed, so a
+collapse (1 falling together with 0) comes with a replayable
 certificate.  Products that leave the ball are counted, not followed;
 an undetermined verdict with zero truncations is therefore a proof
 that the quotient stays nontrivial on the ball.
@@ -12,6 +14,7 @@ that the quotient stays nontrivial on the ball.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -88,11 +91,61 @@ class ProbeSummary:
     worst_trace_len: int
 
 
-def _find(parent: dict[Element, Element], x: Element) -> Element:
+UNKNOWN, OUTSIDE = -2, -1  # action table entries that are not ids
+
+
+class _Ball:
+    """Normal forms of length <= radius plus ZERO (``size`` of them),
+    with integer ids given on first sight: "" is 0 and ZERO is 1.
+    ``table[i * width + k]`` is the id of ``elements[i]`` times the move
+    ``moves[k]``, one letter on the left or right: UNKNOWN until ``act``
+    fills it with one ``product`` call, OUTSIDE when the product is
+    longer than the radius."""
+
+    def __init__(self, system: RewritingSystem, radius: int):
+        self.radius = radius
+        self.size = growth_series(system, radius).total() + 1
+        self.moves = [(side, g) for g in system.alphabet.letters
+                      for side in "LR"]
+        self.width = len(self.moves)
+        self.elements: list[Element] = ["", ZERO]
+        self.ids = {"": 0, ZERO: 1}
+        self.table = array("i", [UNKNOWN] * 2 * self.width)
+
+    def id(self, e: Element) -> int:
+        i = self.ids.get(e)
+        if i is None:
+            if not is_zero(e) and len(e) > self.radius:
+                return OUTSIDE
+            i = self.ids[e] = len(self.elements)
+            self.elements.append(e)
+            self.table.extend([UNKNOWN] * self.width)
+        return i
+
+    def product(self, system: RewritingSystem, i: int, k: int) -> Element:
+        side, g = self.moves[k]
+        e = self.elements[i]
+        return product(system, g, e) if side == "L" else product(system, e, g)
+
+    def act(self, system: RewritingSystem, i: int, k: int) -> int:
+        j = self.id(self.product(system, i, k))
+        self.table[i * self.width + k] = j
+        return j
+
+
+def _ball(system: RewritingSystem, radius: int) -> _Ball:
+    """The system's ball of that radius, built on first use."""
+    balls = vars(system).setdefault("_congruence_balls", {})
+    if radius not in balls:
+        balls[radius] = _Ball(system, radius)
+    return balls[radius]
+
+
+def _find(parent: dict[int, int], x: int) -> int:
     root = x
-    while parent[root] != root:
+    while root in parent:
         root = parent[root]
-    while parent[x] != root:
+    while x != root:
         parent[x], x = root, parent[x]
     return root
 
@@ -111,6 +164,9 @@ def probe_congruence(system: RewritingSystem, seed: tuple[Element, Element],
     a child of a successful union and unions are bounded by the ball
     size.  FIFO order plus the fixed letter order make the result, and
     in particular the truncation count, reproducible.
+
+    The union-find runs on the ids of the system's ball for ``radius``,
+    whose products are made on first demand and kept for later probes.
     """
     u0 = normalize(system, seed[0])
     v0 = normalize(system, seed[1])
@@ -118,94 +174,81 @@ def probe_congruence(system: RewritingSystem, seed: tuple[Element, Element],
     for e in (u0, v0):
         if not is_zero(e) and len(e) > radius:
             raise ValueError(f"seed normal form {e!r} is longer than radius {radius}")
+    ball = _ball(system, radius)
     if universe_size is None:
-        universe_size = growth_series(system, radius).total() + (1 if has_zero else 0)
-
-    def in_ball(e: Element) -> bool:
-        return is_zero(e) or len(e) <= radius
+        universe_size = ball.size - (0 if has_zero else 1)
 
     if u0 == v0:
         return ProbeResult(False, None, universe_size, 0, 0, universe_size, radius)
 
-    letters = system.alphabet.letters
-    parent: dict[Element, Element] = {}
-    size: dict[Element, int] = {}
-    forest: dict[Element, list[tuple[Element, int]]] = {}
-    events: list[tuple[Element, Element, int, Optional[Move]]] = []
-    queue: deque[tuple[Element, Element, int, Optional[Move]]] = deque()
-    queue.append((u0, v0, -1, None))
-    merges = 0
+    table, width, moves = ball.table, ball.width, ball.moves
+    parent: dict[int, int] = {}  # roots are left out
+    size: dict[int, int] = {}
+    events: list[tuple[int, int, int, Optional[Move]]] = []
+    queue = deque([(ball.id(u0), ball.id(v0), -1, None)])
     truncated = 0
-
-    def ensure(e: Element) -> None:
-        if e not in parent:
-            parent[e] = e
-            size[e] = 1
-            forest[e] = []
-
     while queue:
         x, y, parent_idx, move = queue.popleft()
-        ensure(x)
-        ensure(y)
         rx, ry = _find(parent, x), _find(parent, y)
         if rx == ry:
             continue
         idx = len(events)
         events.append((x, y, parent_idx, move))
-        if size[rx] < size[ry]:
+        if size.get(rx, 1) < size.get(ry, 1):
             rx, ry = ry, rx
         parent[ry] = rx
-        size[rx] += size[ry]
-        forest[x].append((y, idx))
-        forest[y].append((x, idx))
-        merges += 1
-        if "" in parent and ZERO in parent \
-                and _find(parent, "") == _find(parent, ZERO):
-            trace = CollapseTrace((u0, v0), _collapse_path(forest, events))
-            return ProbeResult(True, trace, universe_size - merges,
-                               truncated, merges, universe_size, radius)
-        for g in letters:
-            derived = (
-                ("L", product(system, g, x), product(system, g, y)),
-                ("R", product(system, x, g), product(system, y, g)),
-            )
-            for side, px, py in derived:
-                if px == py:
-                    continue
-                if not (in_ball(px) and in_ball(py)):
+        size[rx] = size.get(rx, 1) + size.pop(ry, 1)
+        if _find(parent, 0) == _find(parent, 1):
+            trace = CollapseTrace((u0, v0), _collapse_path(ball, events))
+            return ProbeResult(True, trace, universe_size - len(events),
+                               truncated, len(events), universe_size, radius)
+        bx, by = x * width, y * width
+        for k in range(width):
+            px, py = table[bx + k], table[by + k]
+            if px == UNKNOWN:
+                px = ball.act(system, x, k)
+            if py == UNKNOWN:
+                py = ball.act(system, y, k)
+            if px == OUTSIDE or py == OUTSIDE:
+                # Outside products have no id; equal ones are no pair.
+                if px != py or ball.product(system, x, k) \
+                        != ball.product(system, y, k):
                     truncated += 1
-                # Unions only grow: a pair joined now would be skipped later.
-                elif not (px in parent and py in parent
-                          and _find(parent, px) == _find(parent, py)):
-                    queue.append((px, py, idx, (side, g)))
-    return ProbeResult(False, None, universe_size - merges,
-                       truncated, merges, universe_size, radius)
+            # Unions only grow: a pair joined now would be skipped later.
+            elif px != py and _find(parent, px) != _find(parent, py):
+                queue.append((px, py, idx, moves[k]))
+    return ProbeResult(False, None, universe_size - len(events),
+                       truncated, len(events), universe_size, radius)
 
 
-def _collapse_path(forest: dict[Element, list[tuple[Element, int]]],
-                   events: list[tuple[Element, Element, int, Optional[Move]]],
+def _collapse_path(ball: _Ball,
+                   events: list[tuple[int, int, int, Optional[Move]]],
                    ) -> tuple[TraceStep, ...]:
-    """Unique forest path from the empty word to ZERO, as trace steps."""
-    prev: dict[Element, tuple[Element, int]] = {"": ("", -1)}
-    frontier: deque[Element] = deque([""])
+    """Unique path from "" to ZERO in the forest of merges, as trace steps."""
+    forest: dict[int, list[tuple[int, int]]] = {}
+    for idx, (x, y, _, _) in enumerate(events):
+        forest.setdefault(x, []).append((y, idx))
+        forest.setdefault(y, []).append((x, idx))
+    prev: dict[int, tuple[int, int]] = {0: (0, -1)}
+    frontier: deque[int] = deque([0])
     while frontier:
         node = frontier.popleft()
-        if node is ZERO:
+        if node == 1:
             break
         for other, idx in forest[node]:
             if other not in prev:
                 prev[other] = (node, idx)
                 frontier.append(other)
     path: list[TraceStep] = []
-    node: Element = ZERO
-    while node != "":
+    node = 1
+    while node != 0:
         node, idx = prev[node]
         x, y, parent_idx, move = events[idx]
         moves: list[Move] = []
         while move is not None:
             moves.append(move)
-            x, y, parent_idx, move = events[parent_idx]
-        path.append(TraceStep(events[idx][0], events[idx][1],
+            _, _, parent_idx, move = events[parent_idx]
+        path.append(TraceStep(ball.elements[x], ball.elements[y],
                               tuple(reversed(moves))))
     path.reverse()
     return tuple(path)
@@ -269,8 +312,7 @@ def probe_all_pairs(system: RewritingSystem, max_seed_len: int, radius: int,
         return (max(ku[0], 0) + max(kv[0], 0), ku, kv)
 
     pairs = sorted(combinations(elements, 2), key=pair_key)
-    universe = growth_series(system, radius).total() \
-        + (1 if _has_zero(system) else 0)
+    universe = _ball(system, radius).size - (0 if _has_zero(system) else 1)
     rows = tuple(parallel_map(_probe_row, (system, radius, universe),
                               pairs, jobs))
     collapsed = sum(1 for r in rows if r.collapsed)

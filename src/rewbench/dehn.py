@@ -143,9 +143,10 @@ def _bidi_search(u: Hashable, v: Hashable,
 
     Expands the smaller frontier a full level at a time; a recorded
     meet total T is final once T <= df + db, since by then some vertex
-    of a true geodesic has been reached from both sides.  The ZERO
-    vertex is recorded but never expanded.  Raises _SearchLimit once
-    more than ``budget`` vertices have been reached.
+    of a true geodesic has been reached from both sides.  ZERO is never
+    expanded, so T must also be no longer than any unseen path through
+    ZERO, and a side that runs out without reaching ZERO ends the search.
+    Raises _SearchLimit once more than ``budget`` vertices are reached.
     """
     if u == v:
         return 0, u, {}, {}
@@ -158,10 +159,12 @@ def _bidi_search(u: Hashable, v: Hashable,
     df = db = 0
     best: Optional[tuple[int, Hashable]] = None
     nodes = 2
-    while frontier_f and frontier_b:
-        if best is not None and best[0] <= df + db:
+    while (frontier_f or ZERO in dist_f) and (frontier_b or ZERO in dist_b) \
+            and (frontier_f or frontier_b):
+        if best is not None and best[0] <= min(
+                df + db, dist_f.get(ZERO, df + 1) + dist_b.get(ZERO, db + 1)):
             break
-        forward = len(frontier_f) <= len(frontier_b)
+        forward = not frontier_b or 0 < len(frontier_f) <= len(frontier_b)
         frontier = frontier_f if forward else frontier_b
         dist_self = dist_f if forward else dist_b
         dist_other = dist_b if forward else dist_f

@@ -1,4 +1,4 @@
-"""Golden digests of derivation-area and completion outcomes.
+"""Golden digests of derivation-area, completion and congruence outcomes.
 
 Each value in ``tests/golden.json`` is the SHA-256 of the outcomes of one
 group of calls, so a refactor that must keep behaviour identical is
@@ -22,12 +22,14 @@ from pathlib import Path
 from oracles import one_step, relation_edges
 from rewbench.catalog import get_entry
 from rewbench.completion import CompletionLimits, knuth_bendix
+from rewbench.congruence import probe_all_pairs, probe_congruence
 from rewbench.core import (
     ZERO,
     Alphabet,
     Presentation,
     UnorientableRelationError,
     format_element,
+    orient,
 )
 from rewbench.dehn import ProfileLimits, dehn_area, dehn_profile
 
@@ -187,7 +189,49 @@ def completion_digests() -> dict[str, str]:
     }
 
 
+# (label, system): three M_n, the quadratic example, a commutative
+# system with a zero rule, and {ab = ac}, which has none, so that ZERO
+# seeds and products leaving the ball both show up.
+PROBE_SYSTEMS = (
+    ("M1", get_entry("M1").system),
+    ("M2", get_entry("M2").system),
+    ("M3", get_entry("M3").system),
+    ("dehn-example", get_entry("dehn-example").system),
+    ("ab=ba,aa=0", orient(COMM_ZERO)),
+    ("ab=ac", orient(Presentation(Alphabet("abc"), (("ab", "ac"),)), "abc")),
+)
+PROBE_RADII = range(1, 8)
+PROBES_PER_RADIUS = 20
+
+
+def congruence_digests() -> dict[str, str]:
+    """``probe_all_pairs`` rows per radius (seeds of up to two letters
+    at radii 2-4, one letter elsewhere), and the full results of seeded
+    probes on random words of at most ``radius`` letters (normal forms
+    never grow, so every seed lies in the ball), one in ten of them
+    paired with ZERO."""
+    rng = random.Random(7)
+    out: dict[str, str] = {}
+    for label, system in PROBE_SYSTEMS:
+        letters = system.alphabet.letters
+        out[f"rows:{label}"] = _digest(
+            (radius, probe_all_pairs(system, 2 if 1 < radius < 5 else 1,
+                                     radius).rows)
+            for radius in PROBE_RADII)
+        seeds = []
+        for radius in PROBE_RADII:
+            for _ in range(PROBES_PER_RADIUS):
+                u, v = ("".join(rng.choice(letters)
+                                for _ in range(rng.randint(0, radius)))
+                        for _ in range(2))
+                seeds.append((u, ZERO if rng.random() < 0.1 else v, radius))
+        out[f"probe:{label}"] = _digest(
+            probe_congruence(system, (u, v), radius) for u, v, radius in seeds)
+    return out
+
+
 SECTIONS = {
+    "congruence": congruence_digests,
     "dehn_area": area_digests,
     "dehn_profile": profile_digests,
     "knuth_bendix": completion_digests,

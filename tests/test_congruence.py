@@ -1,9 +1,12 @@
 import dataclasses
+import gc
 import hashlib
+import weakref
 
 import pytest
 
-from rewbench.catalog import get_entry
+from rewbench import congruence
+from rewbench.catalog import get_entry, list_catalog
 from rewbench.congruence import (
     CollapseTrace,
     TraceStep,
@@ -11,7 +14,15 @@ from rewbench.congruence import (
     probe_congruence,
     replay_trace,
 )
-from rewbench.core import ZERO, is_zero
+from rewbench.core import (
+    ZERO,
+    Alphabet,
+    Presentation,
+    is_zero,
+    orient,
+    product,
+)
+from rewbench.enumeration import growth_series
 
 
 def test_frozen_probe_m2():
@@ -166,3 +177,84 @@ def test_frozen_probe_results():
                 trace_len) == expected, (name, u, v, radius)
         digest.update(repr(r).encode())
     assert digest.hexdigest() == FROZEN_PROBES_DIGEST
+
+
+AB_AC = orient(Presentation(Alphabet("abc"), (("ab", "ac"),)), "abc")
+
+
+def _fresh(name):
+    entry = get_entry(name)
+    return orient(entry.presentation, entry.precedence)
+
+
+@pytest.mark.parametrize("name", [e.name for e in list_catalog()] + ["ab=ac"])
+def test_ball_table_entries_are_products(name):
+    system = AB_AC if name == "ab=ac" else get_entry(name).system
+    probe_all_pairs(system, 2, 6)
+    ball = congruence._ball(system, 6)
+    assert ball.size == growth_series(system, 6).total() + 1
+    assert ball.elements[:2] == ["", ZERO]
+    assert all(ball.ids[e] == i for i, e in enumerate(ball.elements))
+    assert len(ball.table) == ball.width * len(ball.elements)
+    filled = 0
+    for j, entry in enumerate(ball.table):
+        if entry == congruence.UNKNOWN:
+            continue
+        filled += 1
+        side, g = ball.moves[j % ball.width]
+        e = ball.elements[j // ball.width]
+        p = product(system, g, e) if side == "L" else product(system, e, g)
+        if entry == congruence.OUTSIDE:
+            assert not is_zero(p) and len(p) > 6
+        else:
+            assert ball.elements[entry] == p
+    assert filled > 0
+
+
+def test_products_outside_the_ball_are_compared_not_identified():
+    # ab = ac, and both leave the radius-1 ball: the pair (ab, ac) is no
+    # pair at all, while every other product from {b, c} leaving the
+    # ball is a truncation.
+    r = probe_congruence(AB_AC, ("b", "c"), 1)
+    assert (r.collapsed, r.merges, r.truncated, r.universe_size) \
+        == (False, 1, 5, 4)
+
+
+def test_ball_is_counted_once_and_its_products_reused(monkeypatch):
+    system = _fresh("M2")
+    counts = {"growth": 0, "product": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(congruence, "growth_series",
+                        counted("growth", congruence.growth_series))
+    monkeypatch.setattr(congruence, "product",
+                        counted("product", congruence.product))
+    first = probe_congruence(system, ("a", "aa"), 9)
+    # never more than the 2 * 2|A| products per merge made without a table
+    assert 0 < counts["product"] <= 4 * 4 * first.merges
+    made = counts["product"]
+    assert probe_congruence(system, ("a", "aa"), 9) == first
+    assert counts["product"] == made
+    probe_all_pairs(system, 1, 9)
+    assert counts["growth"] == 1
+
+
+def test_ball_is_freed_with_its_system():
+    system = _fresh("M1")
+    probe_all_pairs(system, 1, 5)
+    system_ref = weakref.ref(system)
+    ball_ref = weakref.ref(congruence._ball(system, 5))
+    del system
+    gc.collect()
+    assert system_ref() is None and ball_ref() is None
+
+
+def test_probe_all_jobs_deterministic_on_a_cold_system():
+    serial = probe_all_pairs(_fresh("M1"), 2, 6)
+    parallel = probe_all_pairs(_fresh("M1"), 2, 6, jobs=2)
+    assert serial == parallel

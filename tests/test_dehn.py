@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, product
 
 import pytest
 
@@ -11,6 +12,8 @@ from rewbench.core import (
     Presentation,
     UnorientableRelationError,
     equal_in_monoid,
+    normalize,
+    orient,
 )
 from rewbench.dehn import (
     AREA,
@@ -275,6 +278,32 @@ def test_collapsing_presentation_is_searched_on_every_call(monkeypatch):
                            match="relation 1 = 0 collapses the monoid"):
             dehn_profile(p, 4)
     assert len(orients) == 6
+
+
+COMM_ZERO = Presentation(Alphabet("ab"), (("ab", "ba"), ("aa", ZERO)))
+
+
+def test_zero_reached_from_one_side_only_still_meets():
+    # aa's only neighbour is 0, so its side of the search runs out after
+    # one level; the other side must go on until it reaches 0 as well.
+    for u, v in (("aa", "aab"), ("aab", "aa")):
+        r = dehn_area(COMM_ZERO, u, v, precedence="ba")
+        assert (r.status, r.steps, r.derivation) == (AREA, 2, (u, ZERO, v))
+
+
+def test_area_through_zero_matches_oracle():
+    # A path through 0 shows only once both sides reach 0, so a meet
+    # found elsewhere first is not final while it could be shorter:
+    # aaab -> 0 -> baaa takes 2 steps, the swaps 3.
+    system = orient(COMM_ZERO, "ba")
+    words = ["".join(w) for n in range(5) for w in product("ab", repeat=n)]
+    zero_words = [w for w in words if normalize(system, w) is ZERO]
+    for u, v in combinations(zero_words, 2):
+        max_len = max(len(u), len(v)) + DEFAULT_SLACK
+        to_zero = [bfs_distance(COMM_ZERO, w, ZERO, max_len) for w in (u, v)]
+        direct = bfs_distance(COMM_ZERO, u, v, max_len)
+        expected = min(d for d in (direct, sum(to_zero)) if d is not None)
+        assert dehn_area(COMM_ZERO, u, v, precedence="ba").steps == expected
 
 
 def test_fit_power_law_recovers_exact_quadratic():
