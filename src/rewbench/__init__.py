@@ -16,7 +16,6 @@ from .core import (
     RewritingSystem,
     Rule,
     ShortlexOrder,
-    StepBudgetExceededError,
     UnorientableRelationError,
     dump_presentation,
     equal_in_monoid,
@@ -101,7 +100,6 @@ __all__ = [
     "RewritingSystem",
     "Rule",
     "ShortlexOrder",
-    "StepBudgetExceededError",
     "TraceStep",
     "UnorientableRelationError",
     "WitnessPair",

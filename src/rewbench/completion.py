@@ -2,7 +2,9 @@
 
 Overlap analysis is Element-aware: a reduct of an overlap word may be
 the absorbing ZERO, and a pair whose one side is ZERO only joins when
-the other side also normalizes to ZERO.
+the other side also normalizes to ZERO.  Every ``RewritingSystem``
+terminates, so every reduct has a normal form and an unjoined pair is
+a genuine failure of local confluence.
 
 Completion keeps a deterministic first-in-first-out pair queue and
 inter-reduces after every round, so repeated runs on the same input
@@ -21,7 +23,6 @@ from .core import (
     RewritingSystem,
     Rule,
     ShortlexOrder,
-    StepBudgetExceededError,
     format_element,
     normalize,
     orient,
@@ -32,10 +33,6 @@ _COLLAPSED = "completion derived 1 = 0; the monoid collapses to zero"
 
 SUFFIX_PREFIX = "suffix-prefix"
 CONTAINMENT = "containment"
-
-# Per-reduct budget used when checking pairs of a system whose
-# termination certificate failed; joins that exhaust it stay Unresolved.
-FALLBACK_NORMALIZE_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -57,18 +54,17 @@ class Overlap:
 
 @dataclass(frozen=True)
 class CriticalPair:
-    """The two one-step reducts of an overlap word and their normal
-    forms; both forms are None when the fallback step budget ran out."""
+    """The two one-step reducts of an overlap word and their normal forms."""
 
     overlap: Overlap
     left: Element
     right: Element
-    left_nf: Optional[Element] = None
-    right_nf: Optional[Element] = None
+    left_nf: Element
+    right_nf: Element
 
     @property
     def joinable(self) -> bool:
-        return self.left_nf is not None and self.left_nf == self.right_nf
+        return self.left_nf == self.right_nf
 
     @property
     def witness(self) -> Optional[Element]:
@@ -78,6 +74,9 @@ class CriticalPair:
 
 @dataclass(frozen=True)
 class ConfluenceReport:
+    """``terminating`` is always True, as every system terminates; it
+    stays because the ``confluence`` output and its readers use it."""
+
     locally_confluent: bool
     terminating: bool
     critical_pair_count: int
@@ -140,16 +139,12 @@ def _apply_at(word: str, pos: int, rule: Rule) -> Element:
 
 
 def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
-    """Reducts of every overlap word, each checked for joinability.
+    """Reducts of every overlap word, each with its normal form.
 
     Joinability compares deterministic normal forms; a ZERO reduct only
-    joins with a reduct that also normalizes to ZERO.  When the system
-    is not certified terminating (only a hand-built rule list can fail
-    the certificate), each normalization runs under
-    ``FALLBACK_NORMALIZE_STEPS`` and a blown budget leaves the pair
-    Unresolved.
+    joins with a reduct that also normalizes to ZERO.  The system
+    terminates, so both normal forms always exist.
     """
-    max_steps = None if system.terminating else FALLBACK_NORMALIZE_STEPS
     pairs: list[CriticalPair] = []
     for ov in overlaps(system):
         r1 = system.rules[ov.rule1]
@@ -158,26 +153,22 @@ def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
         # starts with lhs1 and a containment word *is* lhs1.
         left = _apply_at(ov.word, 0, r1)
         right = _apply_at(ov.word, ov.offset, r2)
-        try:
-            left_nf = normalize(system, left, max_steps)
-            right_nf = normalize(system, right, max_steps)
-        except StepBudgetExceededError:
-            left_nf = right_nf = None
-        pairs.append(CriticalPair(ov, left, right, left_nf, right_nf))
+        pairs.append(CriticalPair(ov, left, right, normalize(system, left),
+                                  normalize(system, right)))
     return pairs
 
 
 def check_local_confluence(system: RewritingSystem) -> ConfluenceReport:
     """Joins every critical pair and reports the stragglers.
 
-    With termination, an all-joinable answer certifies the system is
-    complete; without it the report is only evidence.
+    Every system terminates, so an all-joinable answer certifies that
+    the system is complete (Newman's lemma).
     """
     pairs = critical_pairs(system)
     unresolved = tuple(p for p in pairs if not p.joinable)
     return ConfluenceReport(
         locally_confluent=not unresolved,
-        terminating=system.terminating,
+        terminating=True,
         critical_pair_count=len(pairs),
         unresolved=unresolved,
     )
@@ -193,14 +184,13 @@ def knuth_bendix(p: Presentation, precedence: str = "",
     counts the rules added from critical pairs.  Hitting any limit
     returns the partial system with ``completed`` False.
     """
-    alphabet_sys = orient(p, precedence)
-    alphabet = alphabet_sys.alphabet
-    order = alphabet_sys.order
-    rules = list(dict.fromkeys(alphabet_sys.rules))
+    oriented = orient(p, precedence)
+    alphabet, order = oriented.alphabet, oriented.order
+    rules = list(oriented.rules)
     steps = 0
     while True:
-        rules = _interreduce(alphabet, rules, order)
-        system = RewritingSystem(alphabet, rules)
+        system = _interreduce(alphabet, rules, order)
+        rules = list(system.rules)
         new_rules: list[Rule] = []
         for pair in critical_pairs(system):
             if pair.joinable:
@@ -231,36 +221,37 @@ def knuth_bendix(p: Presentation, precedence: str = "",
                                          reason="max_steps")
 
 
-def _interreduce(alphabet, rules: list[Rule], order: ShortlexOrder) -> list[Rule]:
-    """Rewrites every rule by the others until stable.
+def _interreduce(alphabet, rules: list[Rule],
+                 order: ShortlexOrder) -> RewritingSystem:
+    """Rewrites every rule by the others until stable; returns the
+    system of the stable rule list.
 
-    A rule whose lhs reduces is replaced by the oriented equation of
-    the reduced sides (or dropped when they agree); a rule whose rhs
-    reduces keeps its lhs with the reduced rhs.
+    A pass scans the rules in order for the first one the others
+    reduce.  It is removed, and the oriented equation of its reduced
+    sides (if they differ, and unless already present) is appended;
+    then the next pass starts over.  A rule decreases shortlex, so its
+    rhs cannot contain its own lhs: the others leave rule i as it is
+    exactly when no other lhs occurs in its lhs and no lhs at all
+    occurs in its rhs.  So one matcher over the whole list finds the
+    rule, and only that rule is normalized by a system of the others.
     """
     current = list(dict.fromkeys(rules))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(current)):
-            rule = current[i]
-            others = current[:i] + current[i + 1:]
-            if not others:
-                continue
-            sub = RewritingSystem(alphabet, others)
-            lhs_nf = normalize(sub, rule.lhs)
-            rhs_nf = normalize(sub, rule.rhs)
-            if lhs_nf == rule.lhs and rhs_nf == rule.rhs:
-                continue
-            del current[i]
-            if lhs_nf != rhs_nf:
-                replacement = orient_equation(lhs_nf, rhs_nf, order,
-                                              _COLLAPSED)
-                if replacement not in current:
-                    current.append(replacement)
-            changed = True
-            break
-    return current
+    while True:
+        system = RewritingSystem(alphabet, current)
+        contains = system.matcher.contains
+        i = next((i for i, rule in enumerate(current)
+                  if contains(rule.lhs, skip=i)
+                  or (rule.rhs is not ZERO and contains(rule.rhs))), None)
+        if i is None:
+            return system
+        rule = current.pop(i)
+        others = RewritingSystem(alphabet, current)
+        lhs_nf = normalize(others, rule.lhs)
+        rhs_nf = normalize(others, rule.rhs)
+        if lhs_nf != rhs_nf:
+            replacement = orient_equation(lhs_nf, rhs_nf, order, _COLLAPSED)
+            if replacement not in current:
+                current.append(replacement)
 
 
 def confluence_report_json(report: ConfluenceReport, system: RewritingSystem) -> dict:

@@ -14,7 +14,6 @@ that the quotient stays nontrivial on the ball.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -100,7 +99,7 @@ class _Ball:
     ``table[i * width + k]`` is the id of ``elements[i]`` times the move
     ``moves[k]``, one letter on the left or right: UNKNOWN until ``act``
     fills it with one ``product`` call, OUTSIDE when the product is
-    longer than the radius."""
+    longer than the radius.  A list, so entries share the ints of ``ids``."""
 
     def __init__(self, system: RewritingSystem, radius: int):
         self.radius = radius
@@ -110,7 +109,7 @@ class _Ball:
         self.width = len(self.moves)
         self.elements: list[Element] = ["", ZERO]
         self.ids = {"": 0, ZERO: 1}
-        self.table = array("i", [UNKNOWN] * 2 * self.width)
+        self.table = [UNKNOWN] * 2 * self.width
 
     def id(self, e: Element) -> int:
         i = self.ids.get(e)

@@ -10,7 +10,9 @@ A ``RewritingSystem`` holds oriented rules ``lhs -> rhs`` where the
 right-hand side may be a word or ``ZERO``.  Rewriting a word that
 contains some ``lhs`` whose rule has rhs ``ZERO`` collapses the whole
 word to ``ZERO`` in one step; there is nothing left to rewrite after
-that.
+that.  Every rule must decrease the shortlex order, which the
+constructor checks; shortlex is a well-order compatible with
+concatenation, so every system terminates.
 
 The deterministic strategy contract: one rewrite step applies a rule at
 the leftmost matching position, breaking ties at equal position by
@@ -81,10 +83,6 @@ class PresentationSyntaxError(ValueError):
 
 class UnorientableRelationError(ValueError):
     """Relation cannot be turned into a rule with a nonempty lhs."""
-
-
-class StepBudgetExceededError(RuntimeError):
-    """normalize() ran out of steps on a system not known to terminate."""
 
 
 @dataclass(frozen=True)
@@ -267,27 +265,28 @@ def dump_presentation(p: Presentation) -> str:
 class RewritingSystem:
     """Immutable ordered rule list with a precompiled factor matcher.
 
-    ``terminating`` records whether every rule strictly decreases the
-    shortlex order (a zero rhs always counts as decreasing).  The check
-    is sound but not complete: False means this cheap certificate
-    failed, not that the system necessarily loops.  Every system built
-    by ``orient`` or ``knuth_bendix`` passes it; only a rule list passed
-    here by hand can fail it.  Such systems can still be constructed,
-    but normalize() demands an explicit step budget for them.
+    Every rule must strictly decrease the shortlex order of the
+    alphabet's precedence (a zero rhs always does); any other rule
+    raises ValueError.  So every system terminates (Book and Otto
+    1993), and a rule's rhs never contains its own lhs.
     """
 
     def __init__(self, alphabet: Alphabet, rules: Iterable[Rule]):
         self.alphabet = alphabet
         self.rules: tuple[Rule, ...] = tuple(rules)
-        for rule in self.rules:
-            alphabet.check_word(rule.lhs)
-            if rule.rhs is not ZERO:
-                alphabet.check_word(rule.rhs)
         self.order = ShortlexOrder(alphabet)
+        for rule in self.rules:
+            lhs, rhs = rule.lhs, rule.rhs
+            alphabet.check_word(lhs)
+            if rhs is ZERO:
+                continue
+            alphabet.check_word(rhs)
+            if len(rhs) > len(lhs) or (len(rhs) == len(lhs)
+                                       and not self.order.less(rhs, lhs)):
+                raise ValueError(f"rule {rule} does not decrease shortlex "
+                                 f"with precedence {alphabet.precedence!r}")
         self.matcher = FactorMatcher(alphabet.letters, [r.lhs for r in self.rules])
         self.max_lhs_len = self.matcher.max_len
-        self.terminating = all(
-            r.rhs is ZERO or self.order.less(r.rhs, r.lhs) for r in self.rules)
 
     def __repr__(self) -> str:
         body = ", ".join(str(r) for r in self.rules)
@@ -299,9 +298,7 @@ def orient(p: Presentation, precedence: str = "") -> RewritingSystem:
     smaller one under shortlex with the given precedence.
 
     ZERO sits below every word, so ``u = 0`` always becomes ``u -> 0``.
-    Every rule decreases shortlex, a well-order compatible with
-    concatenation, so the system always terminates: only a hand-built
-    ``RewritingSystem`` can fail its ``terminating`` certificate.
+    Every rule decreases shortlex, as ``RewritingSystem`` requires.
     Trivial relations ``u = u`` are skipped with a warning.  A relation
     that would need an empty lhs (``1 = 0``) is rejected: it forces the
     whole monoid onto the zero element and has no rule form here.
@@ -353,35 +350,23 @@ def rewrite_step(system: RewritingSystem, word: str) -> Optional[Element]:
     return word[:pos] + rule.rhs + word[pos + len(rule.lhs):]
 
 
-def normalize(system: RewritingSystem, word: Element,
-              max_steps: Optional[int] = None) -> Element:
+def normalize(system: RewritingSystem, word: Element) -> Element:
     """Rewrites to a fixed point under the deterministic strategy.
 
-    For a system whose termination check holds this always halts and no
-    budget is needed.  Otherwise the caller must opt in with
-    ``max_steps``; exhausting it raises StepBudgetExceededError.
-
-    After a rewrite at position p no match can start before
-    p - max_lhs_len + 1, so the scan resumes there instead of at 0.
+    Every rule decreases shortlex, so this always halts.  After a
+    rewrite at position p no match can start before p - max_lhs_len + 1,
+    so the scan resumes there instead of at 0.
     """
     if word is ZERO:
         return ZERO
-    if not system.terminating and max_steps is None:
-        raise ValueError(
-            "system is not certified terminating; pass max_steps to normalize")
     matcher = system.matcher
     rules = system.rules
     back = system.max_lhs_len - 1
-    steps = 0
     pos = 0
     while True:
         hit = matcher.first_match(word, pos)
         if hit is None:
             return word
-        if max_steps is not None:
-            steps += 1
-            if steps > max_steps:
-                raise StepBudgetExceededError(f"no normal form within {max_steps} steps")
         start, idx = hit
         rule = rules[idx]
         if rule.rhs is ZERO:
@@ -402,8 +387,8 @@ def product(system: RewritingSystem, x: Element, y: Element) -> Element:
 def equal_in_monoid(system: RewritingSystem, u: Element, v: Element) -> bool:
     """Equality through normal forms.
 
-    Sound and complete only when the system is complete (terminating
-    and locally confluent); for other systems this is just a one-sided
+    Sound and complete only when the system is locally confluent (it
+    always terminates); for other systems this is just a one-sided
     check that the deterministic reducts coincide.
     """
     return normalize(system, u) == normalize(system, v)

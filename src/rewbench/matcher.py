@@ -110,13 +110,16 @@ class FactorMatcher:
             end += 1
         return best
 
-    def contains(self, word: str) -> bool:
-        """True when any pattern occurs in word."""
+    def contains(self, word: str, skip: int = -1) -> bool:
+        """True when any pattern other than the one with index ``skip``
+        occurs in word (a duplicate of that pattern still counts)."""
         goto = self._goto
         out = self._out
         state = 0
         for ch in word:
             state = goto[state][ch]
-            if out[state]:
+            hits = out[state]
+            # a state's hits are distinct, so two of them cannot both be skip
+            if hits and (hits[0] != skip or len(hits) > 1):
                 return True
         return False

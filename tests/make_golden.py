@@ -21,7 +21,11 @@ from pathlib import Path
 
 from oracles import one_step, relation_edges
 from rewbench.catalog import get_entry
-from rewbench.completion import CompletionLimits, knuth_bendix
+from rewbench.completion import (
+    CompletionLimits,
+    check_local_confluence,
+    knuth_bendix,
+)
 from rewbench.congruence import probe_all_pairs, probe_congruence
 from rewbench.core import (
     ZERO,
@@ -149,13 +153,19 @@ def profile_digests() -> dict[str, str]:
 
 
 def _outcome(p: Presentation, precedence: str = "",
-             limits: CompletionLimits = CompletionLimits()) -> tuple:
+             limits: CompletionLimits = CompletionLimits(),
+             with_pairs: bool = False) -> tuple:
+    """knuth_bendix's outcome; ``with_pairs`` appends the unresolved
+    critical pairs of the system it returns, normal forms included."""
     try:
         out = knuth_bendix(p, precedence, limits)
     except UnorientableRelationError as exc:
         return ("collapsed", str(exc))
-    return (out.completed, out.steps, out.reason, out.unresolved_count,
-            tuple(str(r) for r in out.system.rules))
+    summary = (out.completed, out.steps, out.reason, out.unresolved_count,
+               tuple(str(r) for r in out.system.rules))
+    if with_pairs:
+        return summary + (check_local_confluence(out.system).unresolved,)
+    return summary
 
 
 def _random_presentation(rng: random.Random) -> tuple[Presentation, str]:
@@ -180,8 +190,14 @@ def completion_digests() -> dict[str, str]:
     rng = random.Random(1018)
     randoms = [_random_presentation(rng) for _ in range(300)]
     limits = CompletionLimits(max_rules=10, max_word_len=8, max_steps=20)
+    rng = random.Random(1500)
+    more = [_random_presentation(rng) for _ in range(1500)]
+    alternating = (limits, CompletionLimits(40, 12, 200))
     return {
         "random": _digest(_outcome(p, prec, limits) for p, prec in randoms),
+        "random:1500": _digest(
+            _outcome(p, prec, alternating[i % 2], with_pairs=True)
+            for i, (p, prec) in enumerate(more)),
         "M10-M41": _digest(_outcome(e.presentation, e.precedence)
                            for e in catalog),
         "braid:max_rules=190": _digest(

@@ -7,7 +7,6 @@ from oracles import closure_equal
 from rewbench.catalog import get_entry
 from rewbench.completion import (
     CONTAINMENT,
-    FALLBACK_NORMALIZE_STEPS,
     SUFFIX_PREFIX,
     CompletionLimits,
     check_local_confluence,
@@ -22,10 +21,8 @@ from rewbench.core import (
     Presentation,
     Rule,
     RewritingSystem,
-    StepBudgetExceededError,
     UnorientableRelationError,
     equal_in_monoid,
-    normalize,
     orient,
 )
 
@@ -185,17 +182,36 @@ def test_knuth_bendix_detects_collapse_to_zero():
 
 
 def test_critical_pairs_of_nonterminating_system_run_under_fallback_budget():
-    system = RewritingSystem(Alphabet("ab"), [Rule("a", "aa"), Rule("a", "b")])
+    # the non-terminating a -> aa cannot be built, so critical pairs need
+    # no fallback budget: both sides always reach normal forms
+    with pytest.raises(ValueError, match="does not decrease shortlex"):
+        RewritingSystem(Alphabet("ab"), [Rule("a", "aa"), Rule("a", "b")])
+    system = RewritingSystem(Alphabet("ab"), [Rule("b", "a"), Rule("b", "")])
     report = check_local_confluence(system)
-    assert not report.terminating and not report.locally_confluent
+    assert report.terminating and not report.locally_confluent
     assert report.critical_pair_count == 2 and len(report.unresolved) == 2
     for pair in report.unresolved:
-        assert {pair.left, pair.right} == {"aa", "b"}
-        assert pair.witness is None
-        assert pair.left_nf is None and pair.right_nf is None
-    # "aa" never reaches a normal form: a -> aa fires first at every a
-    with pytest.raises(StepBudgetExceededError):
-        normalize(system, "aa", FALLBACK_NORMALIZE_STEPS)
+        assert {pair.left, pair.right} == {"a", ""}
+        assert (pair.left_nf, pair.right_nf) == (pair.left, pair.right)
+
+
+def test_interreduction_builds_one_system_per_pass(monkeypatch):
+    # Each pass builds the system it scans, plus one system of the other
+    # rules when it finds a rule to rewrite: not one system per rule.
+    braid = Presentation(Alphabet("abc"),
+                         (("aba", "bab"), ("bcb", "cbc"), ("ac", "ca")))
+    builds = 0
+    init = RewritingSystem.__init__
+
+    def counted(self, *args):
+        nonlocal builds
+        builds += 1
+        init(self, *args)
+
+    monkeypatch.setattr(RewritingSystem, "__init__", counted)
+    outcome = knuth_bendix(braid, limits=CompletionLimits(max_rules=190))
+    assert (outcome.completed, outcome.reason) == (False, "max_rules")
+    assert builds <= 100, builds
 
 
 def _random_presentations(rng, count):
@@ -220,13 +236,25 @@ def _random_presentations(rng, count):
         yield Presentation(Alphabet(letters), tuple(relations))
 
 
+def _decreases_shortlex(system):
+    """Every rhs is zero, shorter than its lhs, or of equal length and
+    earlier in the precedence at the first differing letter."""
+    rank = system.alphabet.precedence.index
+    return all(rule.rhs is ZERO
+               or (len(rule.rhs), [rank(ch) for ch in rule.rhs])
+               < (len(rule.lhs), [rank(ch) for ch in rule.lhs])
+               for rule in system.rules)
+
+
 @pytest.mark.filterwarnings("ignore:skipping trivial relation")
 def test_oriented_and_completed_systems_are_terminating():
+    # RewritingSystem rejects any other rule; this checks the systems
+    # orient and knuth_bendix build without relying on that check
     rng = random.Random(5)
     outcomes = {"completed": 0, "limited": 0, "collapsed": 0}
     for p in _random_presentations(rng, 400):
         for precedence in itertools.permutations(p.alphabet.letters):
-            assert orient(p, "".join(precedence)).terminating
+            assert _decreases_shortlex(orient(p, "".join(precedence)))
         precedence = "".join(rng.sample(p.alphabet.letters,
                                         len(p.alphabet.letters)))
         try:
@@ -234,6 +262,6 @@ def test_oriented_and_completed_systems_are_terminating():
         except UnorientableRelationError:
             outcomes["collapsed"] += 1
             continue
-        assert outcome.system.terminating
+        assert _decreases_shortlex(outcome.system)
         outcomes["completed" if outcome.completed else "limited"] += 1
     assert min(outcomes.values()) > 0, outcomes

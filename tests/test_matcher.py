@@ -67,6 +67,8 @@ def test_first_match_and_contains_agree_with_naive_scan():
                        for _ in range(rng.randrange(0, 14)))
         occ = naive_occurrences(patterns, word)
         assert m.contains(word) == bool(occ)
+        for k in range(len(patterns)):
+            assert m.contains(word, skip=k) == any(idx != k for _, idx in occ)
         for start in range(len(word) + 3):
             assert m.first_match(word, start) == _naive_first_match(
                 patterns, occ, start)

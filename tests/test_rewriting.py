@@ -10,7 +10,6 @@ from rewbench.core import (
     Presentation,
     Rule,
     RewritingSystem,
-    StepBudgetExceededError,
     UnorientableRelationError,
     equal_in_monoid,
     normalize,
@@ -105,20 +104,28 @@ def test_normalize_agrees_with_other_strategies():
 
 
 def test_normalize_budget_on_nonterminating_system():
-    system = RewritingSystem(Alphabet("ab", "ab"), [Rule("a", "aa")])
-    assert not system.terminating
-    with pytest.raises(ValueError):
-        normalize(system, "a")
-    with pytest.raises(StepBudgetExceededError):
-        normalize(system, "a", max_steps=50)
-    # a budget is enough when the word happens to be a normal form
-    assert normalize(system, "b", max_steps=1) == "b"
+    # a -> aa would never terminate; it is rejected at construction, so
+    # normalize needs no step budget
+    alphabet = Alphabet("ab", "ab")
+    with pytest.raises(ValueError, match="does not decrease shortlex"):
+        RewritingSystem(alphabet, [Rule("a", "aa")])
+    system = RewritingSystem(alphabet, [Rule("aa", "a"), Rule("ba", "ab")])
+    assert normalize(system, "bababa") == "abbb"
+    assert normalize(system, "b") == "b"
 
 
 def test_terminating_attribute():
-    assert _m2().terminating
-    bad = RewritingSystem(Alphabet("ab", "ab"), [Rule("ab", "ba")])
-    assert not bad.terminating
+    # every system that can be built terminates: a rule must decrease
+    # in shortlex order
+    assert normalize(_m2(), "") == ""
+    alphabet = Alphabet("ab", "ab")
+    for rule in (Rule("a", "aa"), Rule("ab", "ba"), Rule("ab", "ab")):
+        with pytest.raises(ValueError, match="does not decrease shortlex"):
+            RewritingSystem(alphabet, [Rule("b", ""), rule])
+    # a zero rhs and an equal-length smaller rhs are accepted
+    system = RewritingSystem(alphabet, [Rule("aa", ZERO), Rule("ba", "ab")])
+    assert normalize(system, "bba") == "abb"
+    assert normalize(system, "aba") is ZERO
 
 
 def test_product_and_zero_absorption():
