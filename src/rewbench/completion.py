@@ -22,7 +22,6 @@ from .core import (
     Presentation,
     RewritingSystem,
     Rule,
-    ShortlexOrder,
     format_element,
     normalize,
     orient,
@@ -184,23 +183,17 @@ def knuth_bendix(p: Presentation, precedence: str = "",
     counts the rules added from critical pairs.  Hitting any limit
     returns the partial system with ``completed`` False.
     """
-    oriented = orient(p, precedence)
-    alphabet, order = oriented.alphabet, oriented.order
-    rules = list(oriented.rules)
+    system = orient(p, precedence)
+    alphabet, order = system.alphabet, system.order
     steps = 0
     while True:
-        system = _interreduce(alphabet, rules, order)
+        system = _interreduce(system)
         rules = list(system.rules)
-        new_rules: list[Rule] = []
-        for pair in critical_pairs(system):
-            if pair.joinable:
-                continue
-            # an unjoined pair's normal forms differ, and the new lhs is
-            # a normal form of ``system``, so no rule in ``rules`` has it
-            rule = orient_equation(pair.left_nf, pair.right_nf, order,
-                                   _COLLAPSED)
-            if rule not in new_rules:
-                new_rules.append(rule)
+        # an unjoined pair's normal forms differ, and the new lhs is a
+        # normal form of ``system``, so no rule in ``rules`` has it
+        new_rules = list(dict.fromkeys(
+            orient_equation(pair.left_nf, pair.right_nf, order, _COLLAPSED)
+            for pair in critical_pairs(system) if not pair.joinable))
         if not new_rules:
             return CompletionOutcome(True, system, steps)
         for rule in new_rules:
@@ -219,25 +212,30 @@ def knuth_bendix(p: Presentation, precedence: str = "",
                 return CompletionOutcome(False, RewritingSystem(alphabet, rules),
                                          steps, unresolved_count=len(new_rules),
                                          reason="max_steps")
+        system = RewritingSystem(alphabet, rules)
 
 
-def _interreduce(alphabet, rules: list[Rule],
-                 order: ShortlexOrder) -> RewritingSystem:
+def _interreduce(system: RewritingSystem) -> RewritingSystem:
     """Rewrites every rule by the others until stable; returns the
     system of the stable rule list.
 
-    A pass scans the rules in order for the first one the others
-    reduce.  It is removed, and the oriented equation of its reduced
-    sides (if they differ, and unless already present) is appended;
-    then the next pass starts over.  A rule decreases shortlex, so its
-    rhs cannot contain its own lhs: the others leave rule i as it is
-    exactly when no other lhs occurs in its lhs and no lhs at all
-    occurs in its rhs.  So one matcher over the whole list finds the
-    rule, and only that rule is normalized by a system of the others.
+    The first pass scans ``system`` itself; a new system is built first
+    only if its rule list holds a duplicate, which is dropped.  A pass
+    scans the rules in order for the first one the others reduce.  A
+    rule decreases shortlex, so its rhs cannot contain its own lhs: the
+    others leave rule i as it is exactly when no other lhs occurs in
+    its lhs and no lhs at all occurs in its rhs, which one matcher over
+    the whole list answers.  The rule found is removed, the system of
+    the others is built, and it normalizes both sides of the rule.  If
+    they differ and their oriented equation is not already present, it
+    is appended and the extended list is built; otherwise the system of
+    the others is the one the next pass scans.
     """
-    current = list(dict.fromkeys(rules))
-    while True:
+    alphabet, order = system.alphabet, system.order
+    current = list(dict.fromkeys(system.rules))
+    if len(current) < len(system.rules):
         system = RewritingSystem(alphabet, current)
+    while True:
         contains = system.matcher.contains
         i = next((i for i, rule in enumerate(current)
                   if contains(rule.lhs, skip=i)
@@ -245,13 +243,14 @@ def _interreduce(alphabet, rules: list[Rule],
         if i is None:
             return system
         rule = current.pop(i)
-        others = RewritingSystem(alphabet, current)
-        lhs_nf = normalize(others, rule.lhs)
-        rhs_nf = normalize(others, rule.rhs)
+        system = RewritingSystem(alphabet, current)
+        lhs_nf = normalize(system, rule.lhs)
+        rhs_nf = normalize(system, rule.rhs)
         if lhs_nf != rhs_nf:
             replacement = orient_equation(lhs_nf, rhs_nf, order, _COLLAPSED)
             if replacement not in current:
                 current.append(replacement)
+                system = RewritingSystem(alphabet, current)
 
 
 def confluence_report_json(report: ConfluenceReport, system: RewritingSystem) -> dict:

@@ -154,7 +154,7 @@ def _has_zero(system: RewritingSystem) -> bool:
 
 
 def probe_congruence(system: RewritingSystem, seed: tuple[Element, Element],
-                     radius: int, universe_size: Optional[int] = None) -> ProbeResult:
+                     radius: int) -> ProbeResult:
     """Saturates the congruence generated by ``seed`` inside the ball.
 
     Both seed components are normalized first (this does not change the
@@ -174,8 +174,7 @@ def probe_congruence(system: RewritingSystem, seed: tuple[Element, Element],
         if not is_zero(e) and len(e) > radius:
             raise ValueError(f"seed normal form {e!r} is longer than radius {radius}")
     ball = _ball(system, radius)
-    if universe_size is None:
-        universe_size = ball.size - (0 if has_zero else 1)
+    universe_size = ball.size - (0 if has_zero else 1)
 
     if u0 == v0:
         return ProbeResult(False, None, universe_size, 0, 0, universe_size, radius)
@@ -280,10 +279,10 @@ def replay_trace(system: RewritingSystem, trace: CollapseTrace) -> bool:
     return is_zero(cur)
 
 
-def _probe_row(shared: tuple[RewritingSystem, int, int],
+def _probe_row(shared: tuple[RewritingSystem, int],
                seed: tuple[Element, Element]) -> ProbeRow:
-    system, radius, universe = shared
-    result = probe_congruence(system, seed, radius, universe)
+    system, radius = shared
+    result = probe_congruence(system, seed, radius)
     trace_len = len(result.trace.path) if result.trace else 0
     return ProbeRow(seed[0], seed[1], result.collapsed, trace_len,
                     result.truncated)
@@ -312,8 +311,7 @@ def probe_all_pairs(system: RewritingSystem, max_seed_len: int, radius: int,
 
     pairs = sorted(combinations(elements, 2), key=pair_key)
     universe = _ball(system, radius).size - (0 if _has_zero(system) else 1)
-    rows = tuple(parallel_map(_probe_row, (system, radius, universe),
-                              pairs, jobs))
+    rows = tuple(parallel_map(_probe_row, (system, radius), pairs, jobs))
     collapsed = sum(1 for r in rows if r.collapsed)
     undet = [r for r in rows if not r.collapsed]
     return ProbeSummary(

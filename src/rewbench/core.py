@@ -129,13 +129,15 @@ class ShortlexOrder:
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self._rank = {ch: i for i, ch in enumerate(alphabet.precedence)}
+        # a letter's rank as a code point: translated words of equal
+        # length compare as their rank sequences do
+        self._rank_table = {ord(ch): chr(i)
+                            for i, ch in enumerate(alphabet.precedence)}
 
-    def key(self, word: Element) -> tuple[int, tuple[int, ...]]:
+    def key(self, word: Element) -> tuple[int, str]:
         if word is ZERO:
-            return -1, ()
-        rank = self._rank
-        return len(word), tuple(rank[ch] for ch in word)
+            return -1, ""
+        return len(word), word.translate(self._rank_table)
 
     def less(self, u: Element, v: Element) -> bool:
         return self.key(u) < self.key(v)
@@ -276,13 +278,10 @@ class RewritingSystem:
         self.rules: tuple[Rule, ...] = tuple(rules)
         self.order = ShortlexOrder(alphabet)
         for rule in self.rules:
-            lhs, rhs = rule.lhs, rule.rhs
-            alphabet.check_word(lhs)
-            if rhs is ZERO:
-                continue
-            alphabet.check_word(rhs)
-            if len(rhs) > len(lhs) or (len(rhs) == len(lhs)
-                                       and not self.order.less(rhs, lhs)):
+            alphabet.check_word(rule.lhs)
+            if rule.rhs is not ZERO:
+                alphabet.check_word(rule.rhs)
+            if not self.order.less(rule.rhs, rule.lhs):
                 raise ValueError(f"rule {rule} does not decrease shortlex "
                                  f"with precedence {alphabet.precedence!r}")
         self.matcher = FactorMatcher(alphabet.letters, [r.lhs for r in self.rules])

@@ -1,4 +1,4 @@
-"""Golden digests of derivation-area, completion and congruence outcomes.
+"""Golden digests of CLI, derivation-area, completion and congruence outcomes.
 
 Each value in ``tests/golden.json`` is the SHA-256 of the outcomes of one
 group of calls, so a refactor that must keep behaviour identical is
@@ -16,10 +16,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 from oracles import one_step, relation_edges
+from rewbench import cli
 from rewbench.catalog import get_entry
 from rewbench.completion import (
     CompletionLimits,
@@ -246,7 +251,120 @@ def congruence_digests() -> dict[str, str]:
     return out
 
 
+# Presentation files for ``--file`` calls.  missing.rws is never written.
+CLI_FILES = {
+    "comm.rws": "generators: a b\nrelations:\nab = ba\n",
+    "comm-zero.rws": "generators: a b\nrelations:\nab = ba\naa = 0\n",
+    "non-complete.rws": "generators: a b\nrelations:\nab = a\nba = b\n",
+    "braid.rws": ("generators: a b c\nrelations:\n"
+                  "aba = bab\nbcb = cbc\nac = ca\n"),
+    "collapse.rws": "generators: a\nrelations:\na = 1\na = 0\n",
+    "trivial.rws": ("generators: a b\nrelations:\n"
+                    "ab = ab\nba = ab\n1 = 1\nab = ab\n"),
+    "syntax.rws": "generators: a b\nab = ba\n",
+    "unknown-letter.rws": "generators: a b\nrelations:\nab = xa\n",
+}
+CLI_SOURCES = (("--catalog", "M1"), ("--catalog", "M2"),
+               ("--catalog", "dehn-example"),
+               ("--catalog", "M2", "--precedence", "dcba"),
+               *(("--file", name) for name in CLI_FILES
+                 if name not in ("syntax.rws", "unknown-letter.rws")))
+# Every subcommand that takes an input system, on words over a and b,
+# which every source above but collapse.rws accepts, and with budgets
+# small enough that non-complete systems answer quickly.
+CLI_SOURCE_CALLS = (
+    ("normalize", "abab"), ("normalize", "1"), ("normalize", "0"),
+    ("equal", "ab", "ba"), ("equal", "aab", "0"),
+    ("confluence",),
+    ("complete", "--max-rules", "20", "--max-steps", "100"),
+    ("complete", "--max-word-len", "3"),
+    ("complete", "--max-steps", "2"),
+    ("enumerate", "--max-len", "2"),
+    ("growth", "--max-len", "4"),
+    ("witness", "b", "--max-len", "4", "--max-nodes", "2000"),
+    ("probe", "a", "b", "--radius", "2"),
+    ("probe", "ab", "0", "--radius", "2"),
+    ("probe-all", "--seed-len", "1", "--radius", "2"),
+    ("dehn", "ab", "ba"),
+    ("dehn", "aab", "b", "--max-len", "4", "--max-nodes", "500"),
+    ("dehn-profile", "--n-max", "3", "--slack", "1"),
+)
+# Calls on the catalog's words over all four letters, and the input
+# errors that no source call above makes.
+CLI_CALLS = (
+    ("--catalog", "M2", "normalize", "adacab"),
+    ("--catalog", "M2", "equal", "adacab", "a"),
+    ("--catalog", "M1", "witness", "b"),
+    ("--catalog", "M2", "witness", "aab"),
+    ("--catalog", "dehn-example", "witness", "a"),
+    ("--catalog", "dehn-example", "witness", "cad"),
+    ("--catalog", "dehn-example", "dehn", "cbad", "1"),
+    ("--catalog", "dehn-example", "dehn", "aabb", "bbaa", "--max-len", "4"),
+    ("--catalog", "M1", "probe-all", "--seed-len", "0", "--radius", "2"),
+    ("verify-identities", "--n", "1"), ("verify-identities", "--n", "2"),
+    ("catalog", "list"), ("catalog", "dump", "M1"),
+    ("catalog", "dump", "dehn-example"),
+    ("--file", "syntax.rws", "normalize", "a"),
+    ("--file", "unknown-letter.rws", "complete"),
+    ("--file", "missing.rws", "confluence"),
+    (), ("frobnicate",), ("normalize", "a"),
+    ("--catalog", "M70", "normalize", "a"),
+    ("--catalog", "nope", "normalize", "a"),
+    ("--catalog", "M2", "normalize", "xyz"),
+    ("--catalog", "M2", "--precedence", "abc", "normalize", "a"),
+    ("--catalog", "M1", "--file", "comm.rws", "normalize", "a"),
+    ("--catalog", "M2", "--jobs", "0", "probe-all", "--seed-len", "1",
+     "--radius", "3"),
+    ("--catalog", "M2", "probe", "aa", "1", "--radius", "1"),
+    ("--catalog", "M2", "growth"),
+    ("--catalog", "M2", "growth", "--max-len", "x"),
+    ("--catalog", "M2", "enumerate", "--max-len", "-1"),
+    ("--catalog", "M2", "complete", "--max-rules", "-1"),
+    ("--catalog", "M2", "complete", "--max-word-len", "-1"),
+    ("--catalog", "M2", "complete", "--max-steps", "-1"),
+    ("--catalog", "dehn-example", "dehn", "ab", "ba", "--max-nodes", "-3"),
+    ("--catalog", "dehn-example", "witness", "a", "--max-len", "-1"),
+    ("--catalog", "M1", "verify-identities", "--n", "1"),
+    ("verify-identities", "--n", "0"), ("verify-identities", "--n", "65"),
+    ("catalog", "dump"), ("catalog", "dump", "nope"),
+    ("catalog", "dump", "M70"),
+)
+
+
+def _cli_call(argv: list[str], directory: str) -> tuple:
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([directory + "/" + a if a.endswith(".rws") else a
+                         for a in argv])
+    return (code, out.getvalue().replace(directory, "<dir>"),
+            err.getvalue().replace(directory, "<dir>"))
+
+
+def cli_digests() -> dict[str, str]:
+    """One digest of (exit code, stdout, stderr) per argv, run in-process
+    through ``cli.main`` in each of the three formats.  File paths read
+    ``<dir>`` in the output, and argparse's usage lines wrap at a pinned
+    width."""
+    calls = [source + call for source in CLI_SOURCES
+             for call in CLI_SOURCE_CALLS] + list(CLI_CALLS)
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with tempfile.TemporaryDirectory() as directory:
+            for name, text in CLI_FILES.items():
+                Path(directory, name).write_text(text)
+            return {" ".join(argv): _digest([_cli_call(argv, directory)])
+                    for argv in (["--format", fmt, *call] for call in calls
+                                 for fmt in ("text", "json", "csv"))}
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+
+
 SECTIONS = {
+    "cli": cli_digests,
     "congruence": congruence_digests,
     "dehn_area": area_digests,
     "dehn_profile": profile_digests,

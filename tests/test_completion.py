@@ -195,23 +195,57 @@ def test_critical_pairs_of_nonterminating_system_run_under_fallback_budget():
         assert (pair.left_nf, pair.right_nf) == (pair.left, pair.right)
 
 
-def test_interreduction_builds_one_system_per_pass(monkeypatch):
-    # Each pass builds the system it scans, plus one system of the other
-    # rules when it finds a rule to rewrite: not one system per rule.
-    braid = Presentation(Alphabet("abc"),
-                         (("aba", "bab"), ("bcb", "cbc"), ("ac", "ca")))
-    builds = 0
+BRAID = Presentation(Alphabet("abc"),
+                     (("aba", "bab"), ("bcb", "cbc"), ("ac", "ca")))
+
+
+def _record_builds(monkeypatch) -> list[tuple[Rule, ...]]:
+    """The rule tuple of every RewritingSystem built from now on."""
+    builds = []
     init = RewritingSystem.__init__
 
-    def counted(self, *args):
-        nonlocal builds
-        builds += 1
+    def recorded(self, *args):
         init(self, *args)
+        builds.append(self.rules)
 
-    monkeypatch.setattr(RewritingSystem, "__init__", counted)
-    outcome = knuth_bendix(braid, limits=CompletionLimits(max_rules=190))
+    monkeypatch.setattr(RewritingSystem, "__init__", recorded)
+    return builds
+
+
+def test_interreduction_builds_one_system_per_pass(monkeypatch):
+    # A pass that rewrites a rule builds the system of the other rules,
+    # and a second system only when it appends a replacement; the next
+    # pass scans whichever was built last.  Not one system per rule.
+    builds = _record_builds(monkeypatch)
+    outcome = knuth_bendix(BRAID, limits=CompletionLimits(max_rules=190))
     assert (outcome.completed, outcome.reason) == (False, "max_rules")
-    assert builds <= 100, builds
+    assert len(builds) <= 100, len(builds)
+
+
+def test_braid_completion_at_default_limits_builds_few_systems(monkeypatch):
+    builds = _record_builds(monkeypatch)
+    outcome = knuth_bendix(BRAID)
+    assert (outcome.completed, outcome.reason) == (False, "max_rules")
+    assert len(builds) <= 200, len(builds)
+
+
+@pytest.mark.filterwarnings("ignore:skipping trivial relation")
+def test_completion_never_builds_a_rule_list_twice_in_a_row(monkeypatch):
+    # each distinct rule list is built once: the oriented system is the
+    # first one scanned, and the system of the other rules is scanned
+    # next when a pass appends nothing; about a third of the random
+    # presentations repeat a relation, so the deduplicated list is new
+    builds = _record_builds(monkeypatch)
+    runs = [(BRAID, CompletionLimits(max_rules=190))]
+    runs += [(p, CompletionLimits(10, 8, 20))
+             for p in _random_presentations(random.Random(11), 200)]
+    for p, limits in runs:
+        builds.clear()
+        try:
+            knuth_bendix(p, limits=limits)
+        except UnorientableRelationError:
+            pass
+        assert all(a != b for a, b in zip(builds, builds[1:])), p
 
 
 def _random_presentations(rng, count):
