@@ -24,7 +24,6 @@ from .catalog import _MN_NAME, CatalogEntry, get_entry, list_catalog
 from .completion import (
     CompletionLimits,
     check_local_confluence,
-    confluence_report_json,
     knuth_bendix,
 )
 from .congruence import probe_all_pairs, probe_congruence
@@ -42,7 +41,7 @@ from .core import (
     orient,
     parse_presentation,
 )
-from .dehn import AREA, NOT_EQUAL, dehn_area, dehn_profile
+from .dehn import AREA, DEFAULT_SLACK, NOT_EQUAL, dehn_area, dehn_profile
 from .enumeration import growth_series, iter_normal_forms
 from .identities import all_hold, verify_mn_identities
 from .witnesses import unit_witness_mn, unit_witness_search
@@ -129,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dehn-profile",
                        help="max derivation length by total word length")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--slack", type=int, default=4)
+    p.add_argument("--slack", type=int, default=DEFAULT_SLACK)
 
     p = sub.add_parser("verify-identities",
                        help="check the defining identities of the n-th "
@@ -268,7 +267,21 @@ def _cmd_confluence(args: argparse.Namespace) -> int:
             f"unresolved: {format_element(pair.left)} vs "
             f"{format_element(pair.right)} "
             f"(overlap {format_element(pair.overlap.word)})")
-    _emit(args, confluence_report_json(report, system), lines)
+    _emit(args, {
+        "locallyConfluent": report.locally_confluent,
+        "terminating": report.terminating,
+        "criticalPairCount": report.critical_pair_count,
+        "unresolved": [
+            {
+                "rule1": pair.overlap.rule1,
+                "rule2": pair.overlap.rule2,
+                "overlapWord": pair.overlap.word,
+                "left": format_element(pair.left),
+                "right": format_element(pair.right),
+            }
+            for pair in report.unresolved
+        ],
+    }, lines)
     return EXIT_OK if report.locally_confluent else EXIT_REFUTED
 
 

@@ -22,7 +22,6 @@ from .core import (
     Presentation,
     RewritingSystem,
     Rule,
-    format_element,
     normalize,
     orient,
     orient_equation,
@@ -251,22 +250,3 @@ def _interreduce(system: RewritingSystem) -> RewritingSystem:
             if replacement not in current:
                 current.append(replacement)
                 system = RewritingSystem(alphabet, current)
-
-
-def confluence_report_json(report: ConfluenceReport, system: RewritingSystem) -> dict:
-    """Schema used by the command-line confluence subcommand."""
-    return {
-        "locallyConfluent": report.locally_confluent,
-        "terminating": report.terminating,
-        "criticalPairCount": report.critical_pair_count,
-        "unresolved": [
-            {
-                "rule1": p.overlap.rule1,
-                "rule2": p.overlap.rule2,
-                "overlapWord": p.overlap.word,
-                "left": format_element(p.left),
-                "right": format_element(p.right),
-            }
-            for p in report.unresolved
-        ],
-    }

@@ -113,9 +113,6 @@ class Alphabet:
         if sorted(self.precedence) != sorted(self.letters):
             raise ValueError("precedence must be a permutation of the letters")
 
-    def __contains__(self, ch: str) -> bool:
-        return ch in self.letters
-
     def check_word(self, word: str) -> str:
         for ch in word:
             if ch not in self.letters:

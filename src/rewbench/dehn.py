@@ -14,10 +14,11 @@ breadth-first search between two vertices, and ``_layers``, the
 distance layers around one vertex.  ``dehn_area`` answers one pair
 with the first.  ``dehn_profile`` aggregates max area over all equal
 pairs with bounded total length; all pairs of one equivalence class are
-resolved together, against a shared class graph (discovered and swept
-by ``_layers``) when the class has partners longer than half the
-budget and pair by pair otherwise.  Budgeted searches that give up are
-counted per row, never dropped.
+resolved together, against a shared class graph (discovered by one
+breadth-first loop from the normal form, swept by ``_layers``) when
+the class has partners longer than half the budget and pair by pair
+otherwise.  Budgeted searches that give up are counted per row, never
+dropped.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .core import (
     normalize,
     orient,
 )
-from .matcher import FactorMatcher
 from .parallel import parallel_map
 
 AREA = "area"
@@ -235,9 +235,8 @@ def dehn_area(p: Presentation, u: str, v: str, *,
     except _SearchLimit:
         return AreaResult(RESOURCE_LIMIT, reason="max_nodes")
     if found is None:
-        reason = "max_len exhausted without meeting" if system is None \
-            else "equal, but no derivation within max_len"
-        return AreaResult(RESOURCE_LIMIT, reason=reason)
+        return AreaResult(RESOURCE_LIMIT,
+                          reason="max_len exhausted without meeting")
     steps, meet, par_f, par_b = found
     left: list[Element] = [meet]
     while left[-1] != u:
@@ -337,21 +336,19 @@ def _resolve_pairs(out: _ClassOutcome, ordered: list[str], n_max: int,
                    vertex: Callable[[str], Hashable],
                    neighbors: Callable[[Hashable], list],
                    budget: int) -> None:
-    """One bidirectional search per pair of ``ordered`` with total
-    length <= n_max; ``vertex`` maps a word to its graph vertex."""
+    """One bidirectional search per pair of ``ordered``, whose words
+    all have length n_max / 2; ``vertex`` maps a word to its graph
+    vertex."""
     for i, u in enumerate(ordered):
         for v in ordered[i + 1:]:
-            m = len(u) + len(v)
-            if m > n_max:
-                continue
             try:
                 found = _bidi_search(vertex(u), vertex(v), neighbors, budget)
             except _SearchLimit:
                 found = None
             if found is None:
-                out.record_limited(m)
+                out.record_limited(n_max)
             else:
-                out.record(m, found[0], u, v)
+                out.record(n_max, found[0], u, v)
 
 
 def _resolve_nonzero_class(nf: str, members: list[str], n_max: int,
@@ -362,13 +359,16 @@ def _resolve_nonzero_class(nf: str, members: list[str], n_max: int,
     ``members`` are the class members of length <= n_max // 2; the
     class normal form is the shortest member.  When some member is
     short enough to pair with a partner beyond that bound, the class
-    graph is discovered once, breadth-first from the normal form:
-    oriented rules never grow a word, so every member of length
-    <= max_len is connected to it inside the ball.  Such deep sources
-    get a full single-source sweep (the normal form's is the discovery
-    itself) and the remaining member pairs reuse the graph.  Classes
-    whose pairs stay among the known short members skip discovery and
-    run one bidirectional word search per pair.
+    graph is discovered once: one loop expands vertex ids in the order
+    they were found, which is breadth-first from the normal form, and a
+    new vertex lies one step beyond its discoverer.  Oriented rules
+    never grow a word, so every member of length <= max_len is
+    connected to the normal form inside the ball; none has a zero
+    neighbour.  Such deep sources get a full single-source sweep (the
+    normal form's is the discovery itself) and the remaining member
+    pairs reuse the graph.  Classes whose pairs stay among the known
+    short members skip discovery and run one bidirectional word search
+    per pair.
     """
     out = _ClassOutcome(label=nf if nf else "1")
     half = n_max // 2
@@ -381,33 +381,22 @@ def _resolve_nonzero_class(nf: str, members: list[str], n_max: int,
         return out
     words = [nf]
     index = {nf: 0}
+    nf_dist = [0]
     adj: list[list[int]] = []
-
-    def expand(i: int) -> list[int]:
-        # _layers yields and expands vertices in id order, so row i
-        # lands at adj[i] and nf_dist[i] is the distance of words[i]
+    for i, w in enumerate(words):  # words grows as the loop runs
         row = []
-        for nb in _word_neighbors(words[i], moves, max_len):
-            if nb is ZERO:
-                continue
+        for nb in _word_neighbors(w, moves, max_len):
             j = index.get(nb)
             if j is None:
                 j = len(words)
                 if j > limits.max_class_vertices:
-                    raise _SearchLimit
+                    out.incomplete = True
+                    return out
                 index[nb] = j
                 words.append(nb)
+                nf_dist.append(nf_dist[i] + 1)
             row.append(j)
         adj.append(row)
-        return row
-
-    nf_dist: list[int] = []
-    try:
-        for d, layer in enumerate(_layers(0, expand)):
-            nf_dist += [d] * len(layer)
-    except _SearchLimit:
-        out.incomplete = True
-        return out
     deep_sources = [w for w in members if len(w) <= deep_threshold]
     for u in sorted(deep_sources, key=codepoint_key):
         dist = nf_dist
@@ -435,20 +424,20 @@ def _resolve_nonzero_class(nf: str, members: list[str], n_max: int,
     return out
 
 
-def _distance_to_zero(w: str, zero_matcher: FactorMatcher,
+def _distance_to_zero(w: str, zero_patterns: list[str],
                       neighbors: Callable[[str], list],
                       budget: int) -> Optional[int]:
     """Exact distance from a zero word to the zero vertex, or None once
     more than ``budget`` words without a zero pattern are reached (w
     itself counts among them but never trips the budget)."""
-    if zero_matcher.contains(w):
+    if any(pat in w for pat in zero_patterns):
         return 1
     nodes = 1
     layers = _layers(w, neighbors)
     next(layers)
     for depth, layer in enumerate(layers, 2):
         for x in layer:
-            if zero_matcher.contains(x):
+            if any(pat in x for pat in zero_patterns):
                 return depth
             nodes += 1
             if nodes > budget:
@@ -462,7 +451,8 @@ def _resolve_zero_class(system: RewritingSystem, short_zeros: list[str],
                         limits: ProfileLimits) -> _ClassOutcome:
     """Areas of all qualifying pairs of zero words.
 
-    A pair's distance is the smaller of its direct distance and the
+    ``short_zeros`` is nonempty, so the system has a zero rule.  A
+    pair's distance is the smaller of its direct distance and the
     through-zero route d(u, 0) + d(0, v).  Direct distances are only
     searched when they could beat the through-zero sum: a ball of that
     depth around the shorter word answers membership, and a per-step
@@ -470,15 +460,12 @@ def _resolve_zero_class(system: RewritingSystem, short_zeros: list[str],
     """
     out = _ClassOutcome(label="0")
     zero_patterns = sorted({r.lhs for r in system.rules if r.rhs is ZERO})
-    if not zero_patterns or not short_zeros:
-        return out
-    zero_matcher = FactorMatcher(system.alphabet.letters, zero_patterns)
     min_zero_len = min(len(w) for w in short_zeros)
     partner_cap = n_max - min_zero_len
     members = [w for w in _all_words(system.alphabet.precedence, partner_cap)
                if is_zero(normalize(system, w))]
     neighbors = partial(_word_neighbors, moves=moves, max_len=max_len)
-    d0 = {w: _distance_to_zero(w, zero_matcher, neighbors,
+    d0 = {w: _distance_to_zero(w, zero_patterns, neighbors,
                                limits.max_zero_ball) for w in members}
     word_deltas = [abs(len(pat) - len(rep))
                    for pat, rep in moves if rep is not ZERO]

@@ -62,6 +62,20 @@ def test_confluence_refuted_exit(capsys, tmp_path):
     assert "unresolved:" in out
 
 
+def test_confluence_json_lists_unresolved_pairs(capsys, tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_text("generators: a b\nrelations:\nabb = 1\nab = 0\n")
+    code, out, _ = run(capsys, "--format", "json", "--precedence", "ab",
+                       "--file", str(path), "confluence")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["locallyConfluent"] is False
+    assert obj["unresolved"] == [{
+        "rule1": 0, "rule2": 1, "overlapWord": "abb",
+        "left": "1", "right": "0",
+    }]
+
+
 def test_equal_exit_codes(capsys, tmp_path):
     code, out, _ = run(capsys, "--catalog", "M2", "equal", "adacab", "a")
     assert (code, out) == (0, "equal: true\n")
@@ -205,6 +219,12 @@ def test_dehn_resource_limit(capsys):
                        "aaaabbbb", "bbbbaaaa", "--max-nodes", "5")
     assert code == 2
     assert "resource limit" in out
+
+
+def test_dehn_max_len_below_input_is_input_error(capsys):
+    assert run(capsys, "--catalog", "dehn-example", "dehn", "aabb", "bbaa",
+               "--max-len", "3") == (
+        3, "", "error: max_len is smaller than an input word\n")
 
 
 def test_dehn_profile_csv(capsys):

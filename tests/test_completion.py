@@ -10,7 +10,6 @@ from rewbench.completion import (
     SUFFIX_PREFIX,
     CompletionLimits,
     check_local_confluence,
-    confluence_report_json,
     critical_pairs,
     knuth_bendix,
     overlaps,
@@ -74,23 +73,6 @@ def test_suffix_prefix_reducts():
     words = {(ov.kind, ov.word) for ov in overlaps(system)}
     assert (SUFFIX_PREFIX, "aba") in words
     assert (SUFFIX_PREFIX, "bab") in words
-
-
-def test_report_json_schema():
-    report = check_local_confluence(get_entry("M2").system)
-    assert confluence_report_json(report, get_entry("M2").system) == {
-        "locallyConfluent": True,
-        "terminating": True,
-        "criticalPairCount": 0,
-        "unresolved": [],
-    }
-    system = RewritingSystem(Alphabet("ab", "ab"),
-                             [Rule("abb", ""), Rule("ab", ZERO)])
-    obj = confluence_report_json(check_local_confluence(system), system)
-    assert obj["unresolved"] == [{
-        "rule1": 0, "rule2": 1, "overlapWord": "abb",
-        "left": "1", "right": "0",
-    }]
 
 
 def test_knuth_bendix_on_already_complete_system():

@@ -9,7 +9,6 @@ from rewbench import congruence
 from rewbench.catalog import get_entry, list_catalog
 from rewbench.congruence import (
     CollapseTrace,
-    TraceStep,
     probe_all_pairs,
     probe_congruence,
     replay_trace,
@@ -108,12 +107,16 @@ def test_replay_rejects_tampered_trace():
 
 
 def test_replay_rejects_chain_break():
-    m2 = get_entry("M2").system
-    fake = CollapseTrace(("a", "aa"), (
-        TraceStep("b", "ab", (("R", "b"),)),
-        TraceStep("", ZERO, (("L", "d"),)),
-    ))
-    assert not replay_trace(m2, fake)
+    m1 = get_entry("M1").system
+    trace = probe_congruence(m1, ("", "c"), 9).trace
+    assert len(trace.path) == 2 and replay_trace(m1, trace)
+    # every step still rederives from the seed, but the first step of
+    # each broken path does not contain the empty word; the second path
+    # would pass a replay that skipped unchained steps
+    last = trace.path[-1]
+    assert "" not in (last.left, last.right)
+    for broken in (tuple(reversed(trace.path)), (last,) + trace.path):
+        assert not replay_trace(m1, CollapseTrace(trace.seed, broken))
 
 
 def test_probe_all_pairs_m1_frozen():

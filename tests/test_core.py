@@ -43,6 +43,8 @@ def test_alphabet_validation():
         Alphabet("ab", "ba" + "c")
     with pytest.raises(ValueError):
         Alphabet("a1", "a1")
+    with pytest.raises(ValueError, match="bad generator letter ' '"):
+        Alphabet("a b")
 
 
 def test_shortlex_frozen_examples():
@@ -122,6 +124,23 @@ def test_parse_errors_carry_line(text, line):
     with pytest.raises(PresentationSyntaxError) as err:
         parse_presentation(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("text,message", [
+    ("# only a comment\n\n", "line 1, column 1: missing 'generators:' header"),
+    ("generators:\nrelations:\n", "line 1, column 1: empty generator list"),
+    ("generators: ab c\nrelations:\n",
+     "line 1, column 1: generators must be single letters, got 'ab'"),
+    ("generators: a 0\nrelations:\n",
+     "line 1, column 1: letters 0 and 1 are reserved for zero and the empty "
+     "word"),
+    ("generators: a b\nrelations:\nab =\n",
+     "line 3, column 5: empty right side of relation"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse_presentation(text)
+    assert str(err.value) == message
 
 
 def test_parse_error_column_points_at_bad_letter():

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from oracles import naive_occurrences
 from rewbench.matcher import FactorMatcher
 
@@ -32,6 +34,13 @@ def test_empty_pattern_set():
     m = FactorMatcher("ab", [])
     assert not m.contains("a")
     assert m.max_len == 0
+
+
+def test_pattern_validation():
+    with pytest.raises(ValueError, match="empty pattern"):
+        FactorMatcher("ab", [""])
+    with pytest.raises(ValueError, match="pattern letter 'x' not in alphabet"):
+        FactorMatcher("ab", ["ax"])
 
 
 def test_max_len():
