@@ -18,6 +18,7 @@ import json
 import sys
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from functools import cache
 from typing import Iterable, Optional
 
 from .catalog import _MN_NAME, CatalogEntry, get_entry, list_catalog
@@ -61,7 +62,10 @@ class _CliError(Exception):
         self.code = code
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rewbench",
         description="String rewriting workbench for monoid presentations.",

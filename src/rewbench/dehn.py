@@ -14,20 +14,23 @@ breadth-first search between two vertices, and ``_layers``, the
 distance layers around one vertex.  ``dehn_area`` answers one pair
 with the first.  ``dehn_profile`` aggregates max area over all equal
 pairs with bounded total length; all pairs of one equivalence class are
-resolved together, against a shared class graph (discovered by one
-breadth-first loop from the normal form, swept by ``_layers``) when
-the class has partners longer than half the budget and pair by pair
-otherwise.  Budgeted searches that give up are counted per row, never
-dropped.
+resolved together.  A class with partners longer than half the budget
+gets one lazily grown class graph: its partners come from running the
+complete rules backwards from the normal form, each short source sweeps
+``_layers`` over the graph only until it has reached all of them, and a
+word's neighbours are generated once, when some search first expands
+it.  Other classes are resolved pair by pair.  Budgeted searches that
+give up are counted per row, never dropped.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from array import array
 from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Callable, Hashable, Iterator, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Optional
 
 from .completion import check_local_confluence
 from .core import (
@@ -250,6 +253,19 @@ def dehn_area(p: Presentation, u: str, v: str, *,
 
 @dataclass(frozen=True)
 class ProfileLimits:
+    """Budgets of one ``dehn_profile`` call; each is checked per class
+    or per pair, and a budget that fires is reported, not dropped.
+
+    ``max_class_vertices`` counts the words one class graph holds: the
+    normal form's partners plus every word its searches reach.  One
+    word more marks the class incomplete, and it records no pairs.
+    ``max_pair_nodes`` counts the vertices one bidirectional pair
+    search reaches; one more counts that pair as limited.
+    ``max_zero_ball`` counts the words without a zero pattern that one
+    zero word's search for the zero vertex, or one direct-route ball
+    around a zero word, may hold; beyond it the pair counts as limited.
+    """
+
     max_class_vertices: int = 2_000_000
     max_pair_nodes: int = 400_000
     max_zero_ball: int = 200_000
@@ -314,8 +330,8 @@ class _ClassOutcome:
 
     ``best_by_m`` keeps, per total seed length m, the largest area and
     its witness pair; ``limited_by_m`` counts pairs whose search hit a
-    budget.  ``incomplete`` flags a class whose member discovery blew
-    the vertex budget, leaving its pair set unknown.
+    budget.  ``incomplete`` flags a class whose graph outgrew
+    ``max_class_vertices``, leaving its pair set unknown.
     """
 
     label: str
@@ -332,95 +348,155 @@ class _ClassOutcome:
         self.limited_by_m[m] = self.limited_by_m.get(m, 0) + 1
 
 
-def _resolve_pairs(out: _ClassOutcome, ordered: list[str], n_max: int,
-                   vertex: Callable[[str], Hashable],
-                   neighbors: Callable[[Hashable], list],
-                   budget: int) -> None:
-    """One bidirectional search per pair of ``ordered``, whose words
-    all have length n_max / 2; ``vertex`` maps a word to its graph
-    vertex."""
+def _pair_areas(ordered: list[str], vertex: Callable[[str], Hashable],
+                neighbors: Callable[[Hashable], list], budget: int,
+                ) -> Iterator[tuple[str, str, Optional[int]]]:
+    """Each pair of ``ordered`` with its distance from one bidirectional
+    search, or None when that search hit ``budget``; ``vertex`` maps a
+    word to its graph vertex."""
     for i, u in enumerate(ordered):
         for v in ordered[i + 1:]:
             try:
                 found = _bidi_search(vertex(u), vertex(v), neighbors, budget)
             except _SearchLimit:
                 found = None
-            if found is None:
-                out.record_limited(n_max)
-            else:
-                out.record(n_max, found[0], u, v)
+            yield u, v, None if found is None else found[0]
+
+
+def _record_pairs(out: _ClassOutcome, n_max: int,
+                  areas: Iterable[tuple[str, str, Optional[int]]]) -> None:
+    """Records pairs whose words all have length n_max / 2."""
+    for u, v, d in areas:
+        if d is None:
+            out.record_limited(n_max)
+        else:
+            out.record(n_max, d, u, v)
+
+
+class _ClassFull(Exception):
+    pass
+
+
+class _ClassGraph:
+    """The relation graph of one nonzero class, grown on demand.
+
+    Words get integer ids on first sight, and the graph holds at most
+    ``limit + 1`` of them: interning another raises _ClassFull.  A
+    word's adjacency row is built the first time a search expands it
+    and then kept, so no word is expanded twice.
+    """
+
+    def __init__(self, moves: list[tuple[str, Element]], max_len: int,
+                 limit: int):
+        self.moves = moves
+        self.max_len = max_len
+        self.limit = limit
+        self.words: list[str] = []
+        self.index: dict[str, int] = {}
+        self.rows: list[Optional[list[int]]] = []
+
+    def vertex(self, word: str) -> int:
+        j = self.index.get(word)
+        if j is None:
+            j = len(self.words)
+            if j > self.limit:
+                raise _ClassFull
+            self.index[word] = j
+            self.words.append(word)
+            self.rows.append(None)
+        return j
+
+    def neighbors(self, i: int) -> list[int]:
+        row = self.rows[i]
+        if row is None:
+            index = self.index
+            row = []
+            for nb in _word_neighbors(self.words[i], self.moves,
+                                      self.max_len):
+                j = index.get(nb)
+                row.append(self.vertex(nb) if j is None else j)
+            self.rows[i] = row
+        return row
 
 
 def _resolve_nonzero_class(nf: str, members: list[str], n_max: int,
-                           max_len: int, moves: list[tuple[str, Element]],
+                           max_len: int, system: RewritingSystem,
+                           moves: list[tuple[str, Element]],
                            limits: ProfileLimits) -> _ClassOutcome:
     """Areas of all qualifying pairs inside one nonzero class.
 
     ``members`` are the class members of length <= n_max // 2; the
-    class normal form is the shortest member.  When some member is
-    short enough to pair with a partner beyond that bound, the class
-    graph is discovered once: one loop expands vertex ids in the order
-    they were found, which is breadth-first from the normal form, and a
-    new vertex lies one step beyond its discoverer.  Oriented rules
-    never grow a word, so every member of length <= max_len is
-    connected to the normal form inside the ball; none has a zero
-    neighbour.  Such deep sources get a full single-source sweep (the
-    normal form's is the discovery itself) and the remaining member
-    pairs reuse the graph.  Classes whose pairs stay among the known
-    short members skip discovery and run one bidirectional word search
-    per pair.
+    class normal form is the shortest member.  Classes whose pairs stay
+    among these members run one bidirectional word search per pair.
+    Otherwise some member, a deep source, is short enough to pair with
+    longer partners, and the class gets one ``_ClassGraph``:
+
+    - Every class word of length <= n_max - |nf| is a partner of some
+      source.  Each one rewrites to nf without ever growing, so running
+      the rules backwards from nf within that length finds them all and
+      nothing else.
+    - Each deep source sweeps distance layers over the graph and stops
+      after the layer holding its last partner; the distances are exact
+      breadth-first ones.
+    - Pairs of the other members, all of length n_max / 2, run the
+      bidirectional search over the same graph.
+
+    Pairs are recorded only once all searches finished: a class whose
+    graph outgrows ``max_class_vertices`` is marked incomplete and
+    contributes no pairs.
     """
     out = _ClassOutcome(label=nf if nf else "1")
     half = n_max // 2
     deep_threshold = n_max - half - 1
     if len(nf) > deep_threshold:
-        _resolve_pairs(out, sorted(members, key=codepoint_key), n_max,
-                       lambda w: w,
-                       partial(_word_neighbors, moves=moves, max_len=max_len),
-                       limits.max_pair_nodes)
+        _record_pairs(out, n_max, _pair_areas(
+            sorted(members, key=codepoint_key), lambda w: w,
+            partial(_word_neighbors, moves=moves, max_len=max_len),
+            limits.max_pair_nodes))
         return out
-    words = [nf]
-    index = {nf: 0}
-    nf_dist = [0]
-    adj: list[list[int]] = []
-    for i, w in enumerate(words):  # words grows as the loop runs
-        row = []
-        for nb in _word_neighbors(w, moves, max_len):
-            j = index.get(nb)
-            if j is None:
-                j = len(words)
-                if j > limits.max_class_vertices:
-                    out.incomplete = True
-                    return out
-                index[nb] = j
-                words.append(nb)
-                nf_dist.append(nf_dist[i] + 1)
-            row.append(j)
-        adj.append(row)
-    deep_sources = [w for w in members if len(w) <= deep_threshold]
-    for u in sorted(deep_sources, key=codepoint_key):
-        dist = nf_dist
-        if u != nf:
-            dist = [-1] * len(words)
-            for d, layer in enumerate(_layers(index[u], adj.__getitem__)):
+    graph = _ClassGraph(moves, max_len, limits.max_class_vertices)
+    words = graph.words
+    back = [(r.rhs, r.lhs) for r in system.rules if r.rhs is not ZERO]
+    try:
+        for layer in _layers(nf, partial(_word_neighbors, moves=back,
+                                          max_len=n_max - len(nf))):
+            for w in layer:
+                graph.vertex(w)
+        partner_keys = [codepoint_key(w) for w in words]
+        # per deep source, (partner id, distance) pairs in one flat array
+        sweeps: list[tuple[str, array]] = []
+        for u in sorted((w for w in members if len(w) <= deep_threshold),
+                        key=codepoint_key):
+            # codepoint_key puts shorter words first, so a pair of deep
+            # words is measured once, from the smaller one
+            ku = codepoint_key(u)
+            cap = n_max - len(u)
+            wanted = {j for j, k in enumerate(partner_keys)
+                      if ku < k and k[0] <= cap}
+            hits = array("i")
+            for d, layer in enumerate(_layers(graph.vertex(u),
+                                              graph.neighbors)):
                 for j in layer:
-                    dist[j] = d
-        ku = codepoint_key(u)
-        for j, v in enumerate(words):
-            m = len(u) + len(v)
-            if m > n_max:
-                continue
-            if len(v) <= deep_threshold and codepoint_key(v) <= ku:
-                continue
-            d = dist[j]
-            if d < 0:
-                raise AssertionError(f"class graph split at {u!r} / {v!r}")
-            if d > 0:
-                out.record(m, d, u, v)
-    balanced = sorted((w for w in members if len(w) > deep_threshold),
-                      key=codepoint_key)
-    _resolve_pairs(out, balanced, n_max, index.__getitem__, adj.__getitem__,
-                   limits.max_pair_nodes)
+                    if j in wanted:
+                        wanted.remove(j)
+                        hits.extend((j, d))
+                if not wanted:
+                    break
+            if wanted:
+                raise AssertionError(f"class graph split at {u!r}")
+            sweeps.append((u, hits))
+        balanced = list(_pair_areas(
+            sorted((w for w in members if len(w) > deep_threshold),
+                   key=codepoint_key),
+            graph.vertex, graph.neighbors, limits.max_pair_nodes))
+    except _ClassFull:
+        out.incomplete = True
+        return out
+    for u, hits in sweeps:
+        for j, d in zip(hits[::2], hits[1::2]):
+            v = words[j]
+            out.record(len(u) + len(v), d, u, v)
+    _record_pairs(out, n_max, balanced)
     return out
 
 
@@ -519,7 +595,8 @@ def _resolve_class(shared: tuple[RewritingSystem, list[tuple[str, Element]],
     if nf is None:
         return _resolve_zero_class(system, members, n_max, max_len, moves,
                                    limits)
-    return _resolve_nonzero_class(nf, members, n_max, max_len, moves, limits)
+    return _resolve_nonzero_class(nf, members, n_max, max_len, system, moves,
+                                  limits)
 
 
 def dehn_profile(p: Presentation, n_max: int, *,

@@ -126,13 +126,15 @@ def _edges(sizes: tuple[int, ...]) -> list[int]:
 
 # (label, presentation, n_max, precedence, slack, {limit: values}).
 # Beside the small values, max_class_vertices sweeps the edges of the
-# deep class sizes at that slack, and max_zero_ball the range where
-# zero-class answers change, so an off-by-one in either budget shows.
+# class graph sizes at that slack (the words each deep class's searches
+# reach, normal-form partners included), and max_zero_ball the range
+# where zero-class answers change, so an off-by-one in either budget
+# shows.
 PROFILE_SWEEPS = (
     ("dehn-example", get_entry("dehn-example").presentation, 6, "bacd", 2,
-     {"max_class_vertices": _edges((218, 271, 320, 404, 418, 427, 666))}),
+     {"max_class_vertices": _edges((13, 114, 282, 318, 396))}),
     ("M1", get_entry("M1").presentation, 6, "abcd", 2,
-     {"max_class_vertices": _edges((430, 847, 1291))}),
+     {"max_class_vertices": _edges((10, 52, 1291))}),
     ("M1", get_entry("M1").presentation, 6, "abcd", 1,
      {"max_zero_ball": list(range(40))}),
     ("ab=ba,aa=0", COMM_ZERO, 7, "ba", 4,

@@ -1,8 +1,11 @@
 import math
+import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
 
+import make_golden
 from oracles import bfs_distance, brute_pair_areas, brute_profile
 from rewbench import dehn
 from rewbench.catalog import CatalogEntry, get_entry, list_catalog
@@ -209,6 +212,95 @@ def test_profile_pair_areas_match_brute_force_oracle(monkeypatch):
     assert seen == expected
     assert res.resolved_pairs == len(expected) == 25
     assert seen[("aab", "aba")] == seen[("aba", "baa")] == 1
+
+
+def _recorded_pairs(monkeypatch, *args, **kwargs):
+    """dehn_profile's result and the pairs it recorded, by class label."""
+    seen: dict[str, dict[tuple[str, str], int]] = {}
+    record = dehn._ClassOutcome.record
+
+    def spy(self, m, d, u, v):
+        assert (u, v) not in seen.setdefault(self.label, {})
+        seen[self.label][u, v] = d
+        record(self, m, d, u, v)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dehn._ClassOutcome, "record", spy)
+        return dehn_profile(*args, **kwargs), seen
+
+
+@pytest.mark.parametrize(
+    "sweep", [s for s in make_golden.PROFILE_SWEEPS
+              if "max_class_vertices" in s[-1]], ids=lambda s: s[0])
+def test_class_budget_only_withholds_answers(monkeypatch, sweep):
+    # a class that outgrows its budget is reported and records nothing;
+    # every other class records exactly its unbudgeted pairs
+    _, p, n_max, prec, slack, budgets = sweep
+    budgets = budgets["max_class_vertices"]
+    full, expected = _recorded_pairs(monkeypatch, p, n_max, slack=slack,
+                                     precedence=prec)
+    assert full.incomplete_classes == ()
+    blown = set()
+    for budget in budgets:
+        res, seen = _recorded_pairs(
+            monkeypatch, p, n_max, slack=slack, precedence=prec,
+            limits=ProfileLimits(max_class_vertices=budget))
+        incomplete = set(res.incomplete_classes)
+        assert seen == {c: pairs for c, pairs in expected.items()
+                        if c not in incomplete}, budget
+        assert res.resolved_pairs == sum(map(len, seen.values()))
+        assert res.limited_pairs == 0
+        blown.add(len(incomplete))
+    assert 0 in blown and len(blown) > 1
+
+
+@pytest.mark.parametrize("name", ["dehn-example", "M1"])
+def test_class_graph_expands_each_word_once(monkeypatch, name):
+    # one shared graph per class: a search from a second source reuses
+    # the rows the first one built
+    calls: Counter = Counter()
+    word_neighbors = dehn._word_neighbors
+    resolve = dehn._resolve_nonzero_class
+    graphs = []
+
+    def counting(word, moves, max_len):
+        calls[word, id(moves)] += 1
+        return word_neighbors(word, moves, max_len)
+
+    def per_class(nf, members, n_max, *args):
+        calls.clear()
+        out = resolve(nf, members, n_max, *args)
+        if len(nf) <= n_max - n_max // 2 - 1:
+            graphs.append(nf)
+            assert max(calls.values()) == 1, nf
+        return out
+
+    monkeypatch.setattr(dehn, "_word_neighbors", counting)
+    monkeypatch.setattr(dehn, "_resolve_nonzero_class", per_class)
+    entry = get_entry(name)
+    dehn_profile(entry.presentation, 6, slack=2, precedence=entry.precedence)
+    assert len(graphs) > 10
+
+
+def test_profile_of_random_presentations_matches_oracle():
+    rng = random.Random(20261019)
+    complete = []
+    for _ in range(30):
+        p, prec = make_golden._random_presentation(rng)
+        try:
+            if dehn._complete_orientation(p, prec) is not None:
+                complete.append(CatalogEntry("random", p, prec, "test"))
+        except UnorientableRelationError:
+            pass
+    assert len(complete) >= 10
+    for entry in complete:
+        for n_max, slack in product((4, 5, 6), (0, 1, 2)):
+            res = dehn_profile(entry.presentation, n_max, slack=slack,
+                               precedence=entry.precedence)
+            rows, resolved = brute_profile(entry, n_max, slack)
+            assert [(r.n, r.d, r.witness_u, r.witness_v)
+                    for r in res.rows] == rows, (entry.presentation, slack)
+            assert (res.resolved_pairs, res.limited_pairs) == (resolved, 0)
 
 
 def test_profile_independent_of_jobs():
