@@ -144,12 +144,23 @@ def _bidi_search(u: Hashable, v: Hashable,
     """Distance between u and v, the vertex where the searches met, and
     each side's parent map; None when the searches never meet.
 
-    Expands the smaller frontier a full level at a time; a recorded
-    meet total T is final once T <= df + db, since by then some vertex
-    of a true geodesic has been reached from both sides.  ZERO is never
-    expanded, so T must also be no longer than any unseen path through
-    ZERO, and a side that runs out without reaching ZERO ends the search.
-    Raises _SearchLimit once more than ``budget`` vertices are reached.
+    Expands the smaller frontier a level at a time; df and db are the
+    frontiers' depths.  Edges between words go both ways and both
+    sides' earlier levels are fully expanded, so every path of length
+    <= df + db that avoids ZERO already has a recorded meet, while no
+    meet totals more than df + db + 1: no path avoiding ZERO that is
+    still to be found beats the best meet T.  ZERO is never expanded,
+    so a path through it shows only once both sides reach it, and a
+    side that has not reached it is at least one level short of it,
+    also while its next level is expanded.  So T is the distance once
+    T <= zf + zb, zf and zb being ZERO's distance from each side, or
+    that side's depth plus one while unreached, and the search returns
+    then, before expanding another node, mid-level included.  A later
+    meet could only tie, and ties keep the first, so the distance, the
+    meet vertex and the parent entries on its path are those that
+    finishing the level would give.  A side that runs out without
+    reaching ZERO ends the search.  Raises _SearchLimit once more than
+    ``budget`` vertices are reached.
     """
     if u == v:
         return 0, u, {}, {}
@@ -164,9 +175,7 @@ def _bidi_search(u: Hashable, v: Hashable,
     nodes = 2
     while (frontier_f or ZERO in dist_f) and (frontier_b or ZERO in dist_b) \
             and (frontier_f or frontier_b):
-        if best is not None and best[0] <= min(
-                df + db, dist_f.get(ZERO, df + 1) + dist_b.get(ZERO, db + 1)):
-            break
+        via_zero = dist_f.get(ZERO, df + 1) + dist_b.get(ZERO, db + 1)
         forward = not frontier_b or 0 < len(frontier_f) <= len(frontier_b)
         frontier = frontier_f if forward else frontier_b
         dist_self = dist_f if forward else dist_b
@@ -175,6 +184,8 @@ def _bidi_search(u: Hashable, v: Hashable,
         d_new = (df if forward else db) + 1
         nxt: list = []
         for node in frontier:
+            if best is not None and best[0] <= via_zero:
+                return best[0], best[1], par_f, par_b
             for nb in neighbors(node):
                 if nb in dist_self:
                     continue
@@ -217,7 +228,10 @@ def dehn_area(p: Presentation, u: str, v: str, *,
     Intermediate words may grow up to ``max_len`` (default: the longer
     input plus four).  When the oriented system is complete, unequal
     inputs are recognized up front; otherwise an exhausted search is a
-    resource limit, not an inequality proof.
+    resource limit, not an inequality proof.  ``max_nodes`` bounds the
+    words the search reaches; a search that has settled its answer
+    stops at once, so it may answer within a budget that finishing its
+    last level would exceed.
     """
     p.alphabet.check_word(u)
     p.alphabet.check_word(v)
@@ -260,7 +274,9 @@ class ProfileLimits:
     normal form's partners plus every word its searches reach.  One
     word more marks the class incomplete, and it records no pairs.
     ``max_pair_nodes`` counts the vertices one bidirectional pair
-    search reaches; one more counts that pair as limited.
+    search reaches; one more counts that pair as limited.  A search
+    stops as soon as its answer is settled, mid-level included, so only
+    the vertices reached up to then count.
     ``max_zero_ball`` counts the words without a zero pattern that one
     zero word's search for the zero vertex, or one direct-route ball
     around a zero word, may hold; beyond it the pair counts as limited.
@@ -634,13 +650,15 @@ def dehn_profile(p: Presentation, n_max: int, *,
             zero_shorts.append(w)
         else:
             classes.setdefault(nf, []).append(w)
-    tasks: list[tuple[Optional[str], list[str]]] = [
+    # the zero class is usually the largest task; started first, it runs
+    # beside the others with jobs > 1 instead of alone after them
+    tasks: list[tuple[Optional[str], list[str]]] = (
+        [(None, zero_shorts)] if zero_shorts else [])
+    tasks += [
         (nf, members) for nf, members in
         sorted(classes.items(), key=lambda kv: codepoint_key(kv[0]))
         if len(members) > 1 or len(nf) <= n_max - half - 1
     ]
-    if zero_shorts:
-        tasks.append((None, zero_shorts))
     outcomes = parallel_map(_resolve_class,
                             (system, moves, n_max, max_len, limits),
                             tasks, jobs)

@@ -6,7 +6,13 @@ from itertools import combinations, product
 import pytest
 
 import make_golden
-from oracles import bfs_distance, brute_pair_areas, brute_profile
+from oracles import (
+    bfs_distance,
+    brute_pair_areas,
+    brute_profile,
+    one_step,
+    relation_edges,
+)
 from rewbench import dehn
 from rewbench.catalog import CatalogEntry, get_entry, list_catalog
 from rewbench.core import (
@@ -311,6 +317,19 @@ def test_profile_independent_of_jobs():
     assert parallel == serial
 
 
+def test_profile_starts_the_zero_class_first(monkeypatch):
+    # the zero class is usually the largest task; with workers it must
+    # not be left to run alone after all the others
+    seen = []
+    parallel_map = dehn.parallel_map
+    monkeypatch.setattr(dehn, "parallel_map", lambda fn, shared, tasks, jobs:
+                        seen.extend(tasks) or
+                        parallel_map(fn, shared, tasks, jobs))
+    e = _dehn()
+    dehn_profile(e.presentation, 6, precedence=e.precedence)
+    assert seen[0][0] is None
+
+
 def test_profile_requires_complete_system():
     p = Presentation(Alphabet("ab", "ab"), (("ab", "a"), ("ba", "b")))
     with pytest.raises(ValueError):
@@ -396,6 +415,94 @@ def test_area_through_zero_matches_oracle():
         direct = bfs_distance(COMM_ZERO, u, v, max_len)
         expected = min(d for d in (direct, sum(to_zero)) if d is not None)
         assert dehn_area(COMM_ZERO, u, v, precedence="ba").steps == expected
+
+
+def test_settled_search_answers_within_a_budget_its_last_level_exceeds():
+    # the meet at distance 3 is final once found; expanding the rest of
+    # that level would reach 232 words
+    e = _dehn()
+    r = dehn_area(e.presentation, "bca", "bccabb", precedence=e.precedence,
+                  max_len=9, max_nodes=160)
+    assert (r.status, r.steps, r.derivation) == (
+        AREA, 3, ("bca", "bccbba", "bccbab", "bccabb"))
+
+
+def test_commutator_searches_stop_once_settled(monkeypatch):
+    # neighbour lists built for a^k b^k -> b^k a^k, k <= 4, at max_len
+    # 2k and the default; a search that finishes its last level builds
+    # 5,428
+    calls = []
+    word_neighbors = dehn._word_neighbors
+    monkeypatch.setattr(dehn, "_word_neighbors",
+                        lambda *args, **kwargs: calls.append(args) or
+                        word_neighbors(*args, **kwargs))
+    e = _dehn()
+    for k in range(1, 5):
+        for max_len in (2 * k, None):
+            r = dehn_area(e.presentation, "a" * k + "b" * k,
+                          "b" * k + "a" * k, precedence=e.precedence,
+                          max_len=max_len)
+            assert r.steps == k * k
+    assert len(calls) == 4501
+
+
+AREA_SYSTEMS = [
+    (get_entry(name).presentation, get_entry(name).precedence)
+    for name in ("dehn-example", "M1", "M2")
+] + [(COMM_ZERO, "ba"),
+     (Presentation(Alphabet("ab"), (("ab", "ba"), ("", ZERO))), "")]
+
+
+@pytest.mark.parametrize("p,prec", AREA_SYSTEMS,
+                         ids=["dehn-example", "M1", "M2", "ab=ba,aa=0",
+                              "ab=ba,1=0"])
+def test_budget_only_withholds_area_answers(p, prec):
+    # seeded equal pairs: random words, half of them with a zero pattern
+    # planted so that many shortest routes run through 0, each paired
+    # with another such word or with a relation walk from it.  A budgeted
+    # search gives up or gives exactly the unbudgeted answer, from some
+    # budget on, and that answer is the oracle's distance.
+    rng = random.Random(20261019)
+    letters = p.alphabet.letters
+    zero_patterns = [x for x, y in p.relations if y is ZERO]
+    edges = [e for e in relation_edges(p) if e[1] is not ZERO]
+
+    def word():
+        w = "".join(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+        if zero_patterns and rng.random() < 0.5:
+            i = rng.randint(0, len(w))
+            w = w[:i] + rng.choice(zero_patterns) + w[i:]
+        return w
+
+    def walk(w):
+        for _ in range(rng.randint(1, 6)):
+            w = rng.choice(one_step(w, edges, 7) or [w])
+        return w
+
+    pairs = through_zero = 0
+    while pairs < 60:
+        u = word()
+        v = word() if rng.random() < 0.5 else walk(u)
+        max_len = max(len(u), len(v)) + 2
+        full = dehn_area(p, u, v, precedence=prec, max_len=max_len)
+        if u == v or full.status == NOT_EQUAL:
+            continue
+        to_zero = [bfs_distance(p, w, ZERO, max_len) for w in (u, v)]
+        routes = [bfs_distance(p, u, v, max_len),
+                  None if None in to_zero else sum(to_zero)]
+        d = min(r for r in routes if r is not None)
+        assert (full.status, full.steps) == (AREA, d), (u, v)
+        pairs += 1
+        through_zero += routes[0] != d
+        answered = []
+        for budget in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144):
+            r = dehn_area(p, u, v, precedence=prec, max_len=max_len,
+                          max_nodes=budget)
+            answered.append(r == full)
+            assert r == full or (r.status, r.reason) == (
+                RESOURCE_LIMIT, "max_nodes"), (u, v, budget)
+        assert answered == sorted(answered), (u, v)
+    assert through_zero >= 5
 
 
 def test_fit_power_law_recovers_exact_quadratic():
