@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import Optional
 
 from .core import ZERO, Presentation, Alphabet, RewritingSystem, orient
 
@@ -103,11 +104,17 @@ def list_catalog() -> list[CatalogEntry]:
     return entries
 
 
+def family_index(name: str) -> Optional[int]:
+    """The n of a family name M<n> with n >= 1, else None."""
+    m = _MN_NAME.match(name)
+    return int(m.group(1)) if m and int(m.group(1)) >= 1 else None
+
+
 def get_entry(name: str) -> CatalogEntry:
     """Looks up a catalog name; M<n> is accepted for any n >= 1."""
-    m = _MN_NAME.match(name)
-    if m and int(m.group(1)) >= 1:
-        return build_mn(int(m.group(1)))
+    n = family_index(name)
+    if n is not None:
+        return build_mn(n)
     if name == "dehn-example":
         return build_dehn_example()
     known = ", ".join(e.name for e in list_catalog())

@@ -21,7 +21,7 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import cache
 from typing import Iterable, Optional
 
-from .catalog import _MN_NAME, CatalogEntry, get_entry, list_catalog
+from .catalog import CatalogEntry, family_index, get_entry, list_catalog
 from .completion import (
     CompletionLimits,
     check_local_confluence,
@@ -42,10 +42,22 @@ from .core import (
     orient,
     parse_presentation,
 )
-from .dehn import AREA, DEFAULT_SLACK, NOT_EQUAL, dehn_area, dehn_profile
+from .dehn import (
+    AREA,
+    AREA_MAX_NODES,
+    DEFAULT_SLACK,
+    NOT_EQUAL,
+    dehn_area,
+    dehn_profile,
+)
 from .enumeration import growth_series, iter_normal_forms
 from .identities import all_hold, verify_mn_identities
-from .witnesses import unit_witness_mn, unit_witness_search
+from .witnesses import (
+    SEARCH_MAX_LEN,
+    SEARCH_MAX_NODES,
+    unit_witness_mn,
+    unit_witness_search,
+)
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -111,8 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="two-sided unit witness for a word")
     p.add_argument("word")
-    p.add_argument("--max-len", type=int, default=12)
-    p.add_argument("--max-nodes", type=int, default=200_000)
+    p.add_argument("--max-len", type=int, default=SEARCH_MAX_LEN)
+    p.add_argument("--max-nodes", type=int, default=SEARCH_MAX_NODES)
 
     p = sub.add_parser("probe", help="congruence collapse probe for a pair")
     p.add_argument("u")
@@ -127,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("u")
     p.add_argument("v")
     p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--max-nodes", type=int, default=1_000_000)
+    p.add_argument("--max-nodes", type=int, default=AREA_MAX_NODES)
 
     p = sub.add_parser("dehn-profile",
                        help="max derivation length by total word length")
@@ -160,8 +172,8 @@ def _parse_word(p: Presentation, token: str, allow_zero: bool = False) -> Elemen
 
 
 def _catalog_entry(name: str) -> CatalogEntry:
-    m = _MN_NAME.match(name)
-    if m and int(m.group(1)) > MAX_CLI_N:
+    n = family_index(name)
+    if n is not None and n > MAX_CLI_N:
         raise _CliError(f"family index is capped at {MAX_CLI_N} "
                         "on the command line")
     try:
@@ -353,9 +365,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         _emit(args, {"word": args.word, "unit": False},
               ["not a unit: the word equals zero"])
         return EXIT_REFUTED
-    m = _MN_NAME.match(entry.name) if entry is not None else None
-    if m:
-        pair = unit_witness_mn(int(m.group(1)), nf)
+    n = family_index(entry.name) if entry is not None else None
+    if n is not None:
+        pair = unit_witness_mn(n, nf)
         method = "constructive"
     else:
         pair = unit_witness_search(system, nf, max_len=args.max_len,
@@ -402,8 +414,11 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 def _cmd_probe_all(args: argparse.Namespace) -> int:
     _, _, system, _ = _load(args)
     _nonnegative(args, "--seed-len", "--radius")
-    summary = probe_all_pairs(system, args.seed_len, args.radius,
-                              jobs=args.jobs)
+    try:
+        summary = probe_all_pairs(system, args.seed_len, args.radius,
+                                  jobs=args.jobs)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
     rows = [(format_element(r.u), format_element(r.v), r)
             for r in summary.rows]
     _emit(args, {

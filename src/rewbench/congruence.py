@@ -153,6 +153,11 @@ def _has_zero(system: RewritingSystem) -> bool:
     return any(rule.rhs is ZERO for rule in system.rules)
 
 
+def _check_seed(e: Element, radius: int) -> None:
+    if not is_zero(e) and len(e) > radius:
+        raise ValueError(f"seed normal form {e!r} is longer than radius {radius}")
+
+
 def probe_congruence(system: RewritingSystem, seed: tuple[Element, Element],
                      radius: int) -> ProbeResult:
     """Saturates the congruence generated by ``seed`` inside the ball.
@@ -171,8 +176,7 @@ def probe_congruence(system: RewritingSystem, seed: tuple[Element, Element],
     v0 = normalize(system, seed[1])
     has_zero = _has_zero(system) or is_zero(u0) or is_zero(v0)
     for e in (u0, v0):
-        if not is_zero(e) and len(e) > radius:
-            raise ValueError(f"seed normal form {e!r} is longer than radius {radius}")
+        _check_seed(e, radius)
     ball = _ball(system, radius)
     universe_size = ball.size - (0 if has_zero else 1)
 
@@ -297,13 +301,17 @@ def probe_all_pairs(system: RewritingSystem, max_seed_len: int, radius: int,
     seed length first (ZERO counts as length 0), so a collapse shows up
     at a minimal seed.  ``jobs`` > 1 fans pairs out to worker processes,
     at most one per CPU and per pair; the row order is independent of
-    the worker count.  Under ``spawn`` (macOS, Windows) a calling script
-    needs a ``__main__`` guard for that; see ``rewbench.parallel``.
+    the worker count.  A seed longer than ``radius`` is a ValueError,
+    raised before any probe.  Under ``spawn`` (macOS, Windows) a
+    calling script needs a ``__main__`` guard for that; see
+    ``rewbench.parallel``.
     """
     elements: list[Element] = []
     if _has_zero(system):
         elements.append(ZERO)
     elements.extend(enumerate_normal_forms(system, max_seed_len))
+    for e in sorted(elements, key=codepoint_key):
+        _check_seed(e, radius)
 
     def pair_key(p: tuple[Element, Element]):
         ku, kv = codepoint_key(p[0]), codepoint_key(p[1])

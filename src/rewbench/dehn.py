@@ -51,6 +51,7 @@ NOT_EQUAL = "not-equal"
 RESOURCE_LIMIT = "resource-limit"
 
 DEFAULT_SLACK = 4
+AREA_MAX_NODES = 1_000_000  # dehn_area's default budget
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,7 @@ def _complete_orientation(p: Presentation,
 
 def dehn_area(p: Presentation, u: str, v: str, *,
               max_len: Optional[int] = None,
-              max_nodes: int = 1_000_000,
+              max_nodes: int = AREA_MAX_NODES,
               precedence: str = "") -> AreaResult:
     """Least number of relation applications turning u into v.
 

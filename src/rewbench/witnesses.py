@@ -16,6 +16,10 @@ from typing import Optional
 from .catalog import build_mn
 from .core import RewritingSystem, is_zero, normalize
 
+# unit_witness_search's default bounds, shared with the CLI
+SEARCH_MAX_LEN = 12
+SEARCH_MAX_NODES = 200_000
+
 
 @dataclass(frozen=True)
 class WitnessPair:
@@ -67,8 +71,8 @@ def unit_witness_mn(n: int, w: str) -> WitnessPair:
 
 
 def unit_witness_search(system: RewritingSystem, w: str,
-                        max_len: int = 12,
-                        max_nodes: int = 200_000) -> Optional[WitnessPair]:
+                        max_len: int = SEARCH_MAX_LEN,
+                        max_nodes: int = SEARCH_MAX_NODES) -> Optional[WitnessPair]:
     """Shortest context with x w y = 1, or None within the bounds.
 
     States are normal forms of x w y; the search prepends or appends

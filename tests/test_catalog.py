@@ -4,6 +4,7 @@ from rewbench.catalog import (
     LISTED_MN,
     build_dehn_example,
     build_mn,
+    family_index,
     get_entry,
     list_catalog,
 )
@@ -14,6 +15,12 @@ from rewbench.core import ZERO, dump_presentation, parse_presentation
 def test_listing_names_and_count():
     names = [e.name for e in list_catalog()]
     assert names == [f"M{i}" for i in range(1, LISTED_MN + 1)] + ["dehn-example"]
+
+
+def test_family_index_parses_family_names_only():
+    names = ["M1", "M17", "M01", "M0", "M", "m2", "M2a", "dehn-example"]
+    assert [family_index(n) for n in names] == [1, 17, 1, None, None, None,
+                                                None, None]
 
 
 def test_mn_relations_exact():

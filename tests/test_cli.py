@@ -200,6 +200,13 @@ def test_probe_all_text_and_csv(capsys):
     assert lines[1].startswith("0,1,collapsed,")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_probe_all_seed_longer_than_radius_is_input_error(capsys, jobs):
+    assert run(capsys, "--jobs", jobs, "--catalog", "M2", "probe-all",
+               "--seed-len", "3", "--radius", "2") == (
+        3, "", "error: seed normal form 'aaa' is longer than radius 2\n")
+
+
 def test_dehn_text(capsys):
     code, out, _ = run(capsys, "--catalog", "dehn-example", "dehn",
                        "aabb", "bbaa")

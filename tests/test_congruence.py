@@ -261,3 +261,17 @@ def test_probe_all_jobs_deterministic_on_a_cold_system():
     serial = probe_all_pairs(_fresh("M1"), 2, 6)
     parallel = probe_all_pairs(_fresh("M1"), 2, 6, jobs=2)
     assert serial == parallel
+
+
+def test_probe_all_rejects_a_seed_longer_than_the_radius_before_probing(
+        monkeypatch):
+    system = _fresh("M2")
+
+    def probe(*args):
+        raise AssertionError("probed")
+
+    monkeypatch.setattr(congruence, "probe_congruence", probe)
+    with pytest.raises(ValueError, match="^seed normal form 'aaa' is longer "
+                                         "than radius 2$"):
+        probe_all_pairs(system, 3, 2)
+    assert "_congruence_balls" not in vars(system)
