@@ -5,9 +5,11 @@ by ``--catalog NAME`` or ``--file PATH``.  Output is text, JSON, or
 CSV; identical argv always produces byte-identical output.
 
 Exit codes: 0 the operation succeeded or the checked claim holds,
-1 the claim is refuted, 2 the answer is undetermined or a resource
-limit was hit, 3 malformed input.  Warnings, such as a skipped trivial
-relation, go to stderr as ``warning:`` lines.
+1 the claim is refuted, 2 the answer is undetermined, a resource limit
+was hit, a worker process died or the run was interrupted, 3 malformed
+input: any ``ValueError``, from the library or from this module, whose
+message becomes the one ``error:`` line on stderr.  Warnings, such as a
+skipped trivial relation, go to stderr as ``warning:`` lines.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import csv
 import json
 import sys
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 from functools import cache
 from typing import Iterable, Optional
 
@@ -52,6 +53,7 @@ from .dehn import (
 )
 from .enumeration import growth_series, iter_normal_forms
 from .identities import all_hold, verify_mn_identities
+from .parallel import WorkerDied
 from .witnesses import (
     SEARCH_MAX_LEN,
     SEARCH_MAX_NODES,
@@ -66,12 +68,6 @@ EXIT_INPUT = 3
 
 # words longer than this have no business on a command line
 MAX_CLI_N = 64
-
-
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
 
 
 @cache
@@ -164,22 +160,19 @@ def _parse_word(p: Presentation, token: str, allow_zero: bool = False) -> Elemen
     if token == "0":
         if allow_zero:
             return ZERO
-        raise _CliError("the zero element is not a word here")
-    try:
-        return p.alphabet.check_word(token)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+        raise ValueError("the zero element is not a word here")
+    return p.alphabet.check_word(token)
 
 
 def _catalog_entry(name: str) -> CatalogEntry:
     n = family_index(name)
     if n is not None and n > MAX_CLI_N:
-        raise _CliError(f"family index is capped at {MAX_CLI_N} "
-                        "on the command line")
+        raise ValueError(f"family index is capped at {MAX_CLI_N} "
+                         "on the command line")
     try:
         return get_entry(name)
     except KeyError as exc:
-        raise _CliError(exc.args[0]) from exc
+        raise ValueError(exc.args[0]) from exc
 
 
 def _load(args: argparse.Namespace,
@@ -192,32 +185,27 @@ def _load(args: argparse.Namespace,
     elif args.file is not None:
         try:
             with open(args.file, encoding="utf-8") as fh:
-                text = fh.read()
+                p = parse_presentation(fh.read())
         except OSError as exc:
-            raise _CliError(f"cannot read {args.file}: {exc.strerror}") from exc
-        try:
-            p = parse_presentation(text)
-        except PresentationSyntaxError as exc:
-            raise _CliError(f"{args.file}: {exc}") from exc
+            raise ValueError(
+                f"cannot read {args.file}: {exc.strerror}") from exc
+        except (PresentationSyntaxError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{args.file}: {exc}") from exc
         precedence = args.precedence
     else:
-        raise _CliError("an input system is required: --catalog or --file")
-    try:
-        system = orient(p, precedence)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-    return p, precedence, system, entry
+        raise ValueError("an input system is required: --catalog or --file")
+    return p, precedence, orient(p, precedence), entry
 
 
 def _no_source(args: argparse.Namespace) -> None:
     if args.catalog is not None or args.file is not None:
-        raise _CliError(f"{args.subcommand} takes no input system")
+        raise ValueError(f"{args.subcommand} takes no input system")
 
 
 def _nonnegative(args: argparse.Namespace, *flags: str) -> None:
     """Rejects the flags, named together, if any of them is negative."""
     if any(getattr(args, f[2:].replace("-", "_")) < 0 for f in flags):
-        raise _CliError(f"{' and '.join(flags)} must be >= 0")
+        raise ValueError(f"{' and '.join(flags)} must be >= 0")
 
 
 def _emit(args: argparse.Namespace, obj: object, lines: list[str],
@@ -234,7 +222,7 @@ def _emit(args: argparse.Namespace, obj: object, lines: list[str],
     elif args.format == "text":
         sys.stdout.write("\n".join(lines) + "\n")
     elif table is None:
-        raise _CliError(f"{args.subcommand} has no csv form")
+        raise ValueError(f"{args.subcommand} has no csv form")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(table[0])
@@ -388,10 +376,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     u = _parse_word(p, args.u, allow_zero=True)
     v = _parse_word(p, args.v, allow_zero=True)
     _nonnegative(args, "--radius")
-    try:
-        result = probe_congruence(system, (u, v), args.radius)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    result = probe_congruence(system, (u, v), args.radius)
     trace_len = len(result.trace.path) if result.trace is not None else None
     if result.collapsed:
         line = (f"collapsed: true, merges: {result.merges}, "
@@ -414,11 +399,8 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 def _cmd_probe_all(args: argparse.Namespace) -> int:
     _, _, system, _ = _load(args)
     _nonnegative(args, "--seed-len", "--radius")
-    try:
-        summary = probe_all_pairs(system, args.seed_len, args.radius,
-                                  jobs=args.jobs)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    summary = probe_all_pairs(system, args.seed_len, args.radius,
+                              jobs=args.jobs)
     rows = [(format_element(r.u), format_element(r.v), r)
             for r in summary.rows]
     _emit(args, {
@@ -447,11 +429,8 @@ def _cmd_dehn(args: argparse.Namespace) -> int:
     u = _parse_word(p, args.u)
     v = _parse_word(p, args.v)
     _nonnegative(args, "--max-nodes")
-    try:
-        result = dehn_area(p, u, v, max_len=args.max_len,
-                           max_nodes=args.max_nodes, precedence=precedence)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    result = dehn_area(p, u, v, max_len=args.max_len,
+                       max_nodes=args.max_nodes, precedence=precedence)
     chain = [format_element(w) for w in result.derivation]
     if result.status == AREA:
         lines = [f"area: {result.steps}", f"derivation: {' -> '.join(chain)}"]
@@ -470,11 +449,8 @@ def _cmd_dehn_profile(args: argparse.Namespace) -> int:
     p, precedence, _, _ = _load(args)
     _nonnegative(args, "--n-max")
     _nonnegative(args, "--slack")
-    try:
-        result = dehn_profile(p, args.n_max, slack=args.slack,
-                              precedence=precedence, jobs=args.jobs)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    result = dehn_profile(p, args.n_max, slack=args.slack,
+                          precedence=precedence, jobs=args.jobs)
     rows = [(format_element(r.witness_u), format_element(r.witness_v), r)
             for r in result.rows]
     lines = []
@@ -506,7 +482,7 @@ def _cmd_dehn_profile(args: argparse.Namespace) -> int:
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
     _no_source(args)
     if not 1 <= args.n <= MAX_CLI_N:
-        raise _CliError(f"--n must be between 1 and {MAX_CLI_N}")
+        raise ValueError(f"--n must be between 1 and {MAX_CLI_N}")
     checks = verify_mn_identities(args.n)
     ok = all_hold(checks)
     lines = []
@@ -547,7 +523,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
                len(e.presentation.relations)] for e in entries)))
         return EXIT_OK
     if args.name is None:
-        raise _CliError("catalog dump needs a name")
+        raise ValueError("catalog dump needs a name")
     entry = _catalog_entry(args.name)
     _emit(args, {
         "name": entry.name,
@@ -586,23 +562,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return EXIT_INPUT
-    if args.jobs < 1:
-        sys.stderr.write("error: --jobs must be >= 1\n")
-        return EXIT_INPUT
-    handler = _HANDLERS[args.subcommand]
     code, error = EXIT_UNDETERMINED, None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         try:
-            code = handler(args)
-        except _CliError as exc:
-            code, error = exc.code, str(exc)
-        except BrokenProcessPool:
+            if args.jobs < 1:
+                raise ValueError("--jobs must be >= 1")
+            code = _HANDLERS[args.subcommand](args)
+        except ValueError as exc:
+            code, error = EXIT_INPUT, str(exc)
+        except WorkerDied:
             error = "a worker process died"
         except KeyboardInterrupt:
             error = "interrupted"
-    # each distinct warning once: complete orients twice, and dehn and
-    # dehn-profile do too on a presentation's first Dehn query
+    # each distinct warning once: complete orients twice, dehn and
+    # dehn-profile do too on a presentation's first Dehn query, and a
+    # file may repeat a trivial relation
     for message in dict.fromkeys(str(w.message) for w in caught):
         sys.stderr.write(f"warning: {message}\n")
     if error is not None:

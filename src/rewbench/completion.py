@@ -14,7 +14,6 @@ produce identical rule lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import (
     ZERO,
@@ -63,11 +62,6 @@ class CriticalPair:
     @property
     def joinable(self) -> bool:
         return self.left_nf == self.right_nf
-
-    @property
-    def witness(self) -> Optional[Element]:
-        """The common normal form of a joinable pair, else None."""
-        return self.left_nf if self.joinable else None
 
 
 @dataclass(frozen=True)

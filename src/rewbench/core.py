@@ -139,9 +139,6 @@ class ShortlexOrder:
     def less(self, u: Element, v: Element) -> bool:
         return self.key(u) < self.key(v)
 
-    def sorted(self, words: Iterable[Element]) -> list[Element]:
-        return sorted(words, key=self.key)
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -327,23 +324,6 @@ def orient_equation(x: Element, y: Element, order: ShortlexOrder,
         return Rule(word, ZERO)
     big, small = (x, y) if order.less(y, x) else (y, x)
     return Rule(big, small)
-
-
-def rewrite_step(system: RewritingSystem, word: str) -> Optional[Element]:
-    """Applies exactly one rule at the leftmost matching position.
-
-    Ties at equal position go to the longest lhs, then the lowest rule
-    index.  Returns the rewritten element (ZERO if the rule's rhs is
-    ZERO), or None when no rule matches.
-    """
-    hit = system.matcher.first_match(word)
-    if hit is None:
-        return None
-    pos, idx = hit
-    rule = system.rules[idx]
-    if rule.rhs is ZERO:
-        return ZERO
-    return word[:pos] + rule.rhs + word[pos + len(rule.lhs):]
 
 
 def normalize(system: RewritingSystem, word: Element) -> Element:

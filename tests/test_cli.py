@@ -1,12 +1,12 @@
 import hashlib
 import json
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from rewbench import cli
 from rewbench.cli import main
+from rewbench.parallel import WorkerDied
 
 
 def run(capsys, *argv):
@@ -104,6 +104,23 @@ def test_complete_collapse_refuted(capsys, tmp_path):
     code, out, _ = run(capsys, "--file", str(path), "complete")
     assert code == 1
     assert "collapsed" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["complete"],
+    ["dehn", "a", "a"],
+    ["dehn-profile", "--n-max", "1"],
+    ["probe", "a", "a", "--radius", "1"],
+], ids=["complete", "dehn", "dehn-profile", "probe"])
+def test_unorientable_input_is_an_input_error_before_the_subcommand(
+        capsys, tmp_path, fmt, argv):
+    # complete's own collapse report (exit 1) is for relations that
+    # completion derives, not for one the input already states
+    path = tmp_path / "p.txt"
+    path.write_text("generators: a\nrelations:\n1 = 0\n")
+    assert run(capsys, "--format", fmt, "--file", str(path), *argv) == (
+        3, "", "error: relation 1 = 0 collapses the monoid; cannot orient\n")
 
 
 def test_complete_limits_undetermined(capsys, tmp_path):
@@ -296,12 +313,17 @@ def test_input_errors(capsys, tmp_path):
     bad.write_text("generators: a b\nab = ba\n")
     code, _, err = run(capsys, "--file", str(bad), "normalize", "a")
     assert code == 3 and ("line 2" in err or "relations" in err)
+    bad.write_bytes(b"\xff")
+    code, out, err = run(capsys, "--file", str(bad), "normalize", "a")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
     code, _, err = run(capsys, "--format", "csv", "--catalog", "M2",
                        "normalize", "a")
     assert code == 3 and "csv" in err
-    code, _, err = run(capsys, "--catalog", "M2", "--jobs", "0",
-                       "probe-all", "--seed-len", "1", "--radius", "3")
-    assert code == 3
+    assert run(capsys, "--catalog", "M2", "--jobs", "0", "probe-all",
+               "--seed-len", "1", "--radius", "3") == (
+        3, "", "error: --jobs must be >= 1\n")
     code, _, _ = run(capsys, "--catalog", "M2", "probe", "aa", "1",
                      "--radius", "1")
     assert code == 3
@@ -487,7 +509,7 @@ def test_negative_budgets_are_input_errors(capsys, argv):
     ("dehn_profile", ["--catalog", "dehn-example", "dehn-profile",
                       "--n-max", "3"]),
 ])
-@pytest.mark.parametrize("exc", [BrokenProcessPool, KeyboardInterrupt])
+@pytest.mark.parametrize("exc", [WorkerDied, KeyboardInterrupt])
 def test_worker_crash_or_interrupt_exits_2_without_traceback(
         capsys, monkeypatch, target, argv, exc):
     def fail(*args, **kwargs):

@@ -47,7 +47,7 @@ def test_self_overlap_at_nonzero_offset():
     pairs = critical_pairs(system)
     assert len(pairs) == 1
     assert pairs[0].left == "aa" and pairs[0].right == "aa"
-    assert pairs[0].joinable and pairs[0].witness == "a"
+    assert pairs[0].joinable and pairs[0].left_nf == "a"
 
 
 def test_containment_overlap_with_zero_is_unresolved():
@@ -64,7 +64,7 @@ def test_containment_overlap_with_zero_is_unresolved():
     pair = report.unresolved[0]
     assert pair.left == "" and pair.right is ZERO
     assert (pair.left_nf, pair.right_nf) == ("", ZERO)
-    assert not pair.joinable and pair.witness is None
+    assert not pair.joinable
 
 
 def test_suffix_prefix_reducts():

@@ -12,20 +12,31 @@ from rewbench.core import ZERO
 ROOT = Path(__file__).resolve().parent.parent
 
 _LOADED = """\
-import json, sys
+import importlib, json, sys
 sys.path.insert(0, sys.argv[1])
-import rewbench.core
+importlib.import_module(sys.argv[2])
 print(json.dumps([sorted(m for m in sys.modules if m.startswith("rewbench")),
-                  [m for m in ("multiprocessing", "statistics")
-                   if m in sys.modules]]))
+                  [m for m in sys.argv[3:] if m in sys.modules]]))
 """
 
 
-def test_importing_core_loads_only_core_and_matcher():
-    proc = subprocess.run([sys.executable, "-c", _LOADED, str(ROOT / "src")],
+def _fresh_import(module, *watched):
+    """The rewbench modules, and the ``watched`` ones, that importing
+    ``module`` loads in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED, str(ROOT / "src"),
+                           module, *watched],
                           capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == [
+    return json.loads(proc.stdout)
+
+
+def test_importing_core_loads_only_core_and_matcher():
+    assert _fresh_import("rewbench.core", "multiprocessing", "statistics") == [
         ["rewbench", "rewbench.core", "rewbench.matcher"], []]
+
+
+def test_importing_cli_loads_no_process_pool():
+    assert _fresh_import("rewbench.cli", "concurrent.futures",
+                         "multiprocessing")[1] == []
 
 
 def test_readme_library_tour_gives_the_values_its_comments_state():

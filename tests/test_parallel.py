@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import pytest
 
 from rewbench import parallel
@@ -5,6 +8,10 @@ from rewbench import parallel
 
 def _shift_square(shared, task):
     return shared + task * task
+
+
+def _exit_worker(shared, task):
+    os._exit(1)
 
 
 @pytest.mark.parametrize("jobs,cpus,n_tasks,workers", [
@@ -34,7 +41,7 @@ def test_parallel_map_caps_workers(monkeypatch, jobs, cpus, n_tasks,
         def shutdown(self, cancel_futures):
             pass
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", StubPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(parallel, "_worker_fn", None)
     monkeypatch.setattr(parallel, "_worker_shared", None)
@@ -42,3 +49,9 @@ def test_parallel_map_caps_workers(monkeypatch, jobs, cpus, n_tasks,
     assert parallel.parallel_map(_shift_square, 100, tasks, jobs) == [
         100 + t * t for t in tasks]
     assert started == ([] if workers is None else [workers])
+
+
+def test_dead_worker_raises_worker_died(monkeypatch):
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    with pytest.raises(parallel.WorkerDied):
+        parallel.parallel_map(_exit_worker, None, [0, 1], 2)
