@@ -7,9 +7,10 @@ the system while it lives, its one-letter products filled in on demand)
 and a FIFO worklist of derived pairs.  Each successful union is an
 event that remembers how its pair was derived from the seed, so a
 collapse (1 falling together with 0) comes with a replayable
-certificate.  Products that leave the ball are counted, not followed;
-an undetermined verdict with zero truncations is therefore a proof
-that the quotient stays nontrivial on the ball.
+certificate.  Products that leave the ball get negative ids, made
+once like the others; they are counted, not followed, so an
+undetermined verdict with zero truncations is a proof that the
+quotient stays nontrivial on the ball.
 """
 
 from __future__ import annotations
@@ -90,16 +91,19 @@ class ProbeSummary:
     worst_trace_len: int
 
 
-UNKNOWN, OUTSIDE = -2, -1  # action table entries that are not ids
+UNKNOWN = None  # action table entry not yet filled
 
 
 class _Ball:
     """Normal forms of length <= radius plus ZERO (``size`` of them),
-    with integer ids given on first sight: "" is 0 and ZERO is 1.
+    with integer ids given on first sight: "" is 0 and ZERO is 1.  A
+    product longer than the radius gets a negative id instead, ``~j``
+    for the j-th such product seen, kept in ``outside``, so two outside
+    products share an id exactly when they are equal.
     ``table[i * width + k]`` is the id of ``elements[i]`` times the move
     ``moves[k]``, one letter on the left or right: UNKNOWN until ``act``
-    fills it with one ``product`` call, OUTSIDE when the product is
-    longer than the radius.  A list, so entries share the ints of ``ids``."""
+    fills it with one ``product`` call.  A list, so entries share the
+    ints of ``ids``."""
 
     def __init__(self, system: RewritingSystem, radius: int):
         self.radius = radius
@@ -109,26 +113,24 @@ class _Ball:
         self.width = len(self.moves)
         self.elements: list[Element] = ["", ZERO]
         self.ids = {"": 0, ZERO: 1}
+        self.outside: dict[Element, int] = {}
         self.table = [UNKNOWN] * 2 * self.width
 
     def id(self, e: Element) -> int:
         i = self.ids.get(e)
         if i is None:
             if not is_zero(e) and len(e) > self.radius:
-                return OUTSIDE
+                return self.outside.setdefault(e, ~len(self.outside))
             i = self.ids[e] = len(self.elements)
             self.elements.append(e)
             self.table.extend([UNKNOWN] * self.width)
         return i
 
-    def product(self, system: RewritingSystem, i: int, k: int) -> Element:
+    def act(self, system: RewritingSystem, i: int, k: int) -> int:
         side, g = self.moves[k]
         e = self.elements[i]
-        return product(system, g, e) if side == "L" else product(system, e, g)
-
-    def act(self, system: RewritingSystem, i: int, k: int) -> int:
-        j = self.id(self.product(system, i, k))
-        self.table[i * self.width + k] = j
+        p = product(system, g, e) if side == "L" else product(system, e, g)
+        j = self.table[i * self.width + k] = self.id(p)
         return j
 
 
@@ -138,15 +140,6 @@ def _ball(system: RewritingSystem, radius: int) -> _Ball:
     if radius not in balls:
         balls[radius] = _Ball(system, radius)
     return balls[radius]
-
-
-def _find(parent: dict[int, int], x: int) -> int:
-    root = x
-    while root in parent:
-        root = parent[root]
-    while x != root:
-        parent[x], x = root, parent[x]
-    return root
 
 
 def _has_zero(system: RewritingSystem) -> bool:
@@ -183,73 +176,96 @@ def probe_congruence(system: RewritingSystem, seed: tuple[Element, Element],
     if u0 == v0:
         return ProbeResult(False, None, universe_size, 0, 0, universe_size, radius)
 
-    table, width, moves = ball.table, ball.width, ball.moves
+    table, width = ball.table, ball.width
     parent: dict[int, int] = {}  # roots are left out
     size: dict[int, int] = {}
-    events: list[tuple[int, int, int, Optional[Move]]] = []
-    queue = deque([(ball.id(u0), ball.id(v0), -1, None)])
+    # Queue entries and events are four flat ints each: x, y, the offset
+    # in ``events`` of the merge the pair came from and a move index.
+    events: list[int] = []
+    queue = deque((ball.id(u0), ball.id(v0), -1, -1))
+    pop = queue.popleft
+    root0, root1 = 0, 1  # roots of "" and ZERO
     truncated = 0
+    trace = None
     while queue:
-        x, y, parent_idx, move = queue.popleft()
-        rx, ry = _find(parent, x), _find(parent, y)
+        x, y, parent_idx, move = pop(), pop(), pop(), pop()
+        rx = x
+        while rx in parent:
+            rx = parent[rx]
+        ry = y
+        while ry in parent:
+            ry = parent[ry]
         if rx == ry:
             continue
         idx = len(events)
-        events.append((x, y, parent_idx, move))
-        if size.get(rx, 1) < size.get(ry, 1):
+        events += x, y, parent_idx, move
+        sx, sy = size.pop(rx, 1), size.pop(ry, 1)
+        if sx < sy:
             rx, ry = ry, rx
         parent[ry] = rx
-        size[rx] = size.get(rx, 1) + size.pop(ry, 1)
-        if _find(parent, 0) == _find(parent, 1):
+        size[rx] = sx + sy
+        if root0 == ry:
+            root0 = rx
+        if root1 == ry:
+            root1 = rx
+        if root0 == root1:
             trace = CollapseTrace((u0, v0), _collapse_path(ball, events))
-            return ProbeResult(True, trace, universe_size - len(events),
-                               truncated, len(events), universe_size, radius)
+            break
         bx, by = x * width, y * width
         for k in range(width):
             px, py = table[bx + k], table[by + k]
-            if px == UNKNOWN:
+            if px is UNKNOWN:
                 px = ball.act(system, x, k)
-            if py == UNKNOWN:
+            if py is UNKNOWN:
                 py = ball.act(system, y, k)
-            if px == OUTSIDE or py == OUTSIDE:
-                # Outside products have no id; equal ones are no pair.
-                if px != py or ball.product(system, x, k) \
-                        != ball.product(system, y, k):
-                    truncated += 1
+            if px == py:  # one element, in the ball or not: no pair
+                continue
+            if px < 0 or py < 0:  # a product left the ball
+                truncated += 1
+                continue
             # Unions only grow: a pair joined now would be skipped later.
-            elif px != py and _find(parent, px) != _find(parent, py):
-                queue.append((px, py, idx, moves[k]))
-    return ProbeResult(False, None, universe_size - len(events),
-                       truncated, len(events), universe_size, radius)
+            rx = px
+            while rx in parent:
+                rx = parent[rx]
+            ry = py
+            while ry in parent:
+                ry = parent[ry]
+            if rx != ry:
+                queue.extend((px, py, idx, k))
+    merges = len(events) // 4
+    return ProbeResult(trace is not None, trace, universe_size - merges,
+                       truncated, merges, universe_size, radius)
 
 
-def _collapse_path(ball: _Ball,
-                   events: list[tuple[int, int, int, Optional[Move]]],
-                   ) -> tuple[TraceStep, ...]:
-    """Unique path from "" to ZERO in the forest of merges, as trace steps."""
-    forest: dict[int, list[tuple[int, int]]] = {}
-    for idx, (x, y, _, _) in enumerate(events):
-        forest.setdefault(x, []).append((y, idx))
-        forest.setdefault(y, []).append((x, idx))
-    prev: dict[int, tuple[int, int]] = {0: (0, -1)}
+def _collapse_path(ball: _Ball, events: list[int]) -> tuple[TraceStep, ...]:
+    """Unique path from "" to ZERO in the forest of merges, as trace steps.
+
+    A merge is the four ints of ``events`` from its offset on."""
+    forest: dict[int, list[int]] = {}  # id -> offsets of its merges
+    for idx in range(0, len(events), 4):
+        forest.setdefault(events[idx], []).append(idx)
+        forest.setdefault(events[idx + 1], []).append(idx)
+    prev = {0: -1}  # id -> offset of the merge that reached it
     frontier: deque[int] = deque([0])
     while frontier:
         node = frontier.popleft()
         if node == 1:
             break
-        for other, idx in forest[node]:
+        for idx in forest[node]:
+            other = events[idx] if events[idx + 1] == node else events[idx + 1]
             if other not in prev:
-                prev[other] = (node, idx)
+                prev[other] = idx
                 frontier.append(other)
     path: list[TraceStep] = []
     node = 1
     while node != 0:
-        node, idx = prev[node]
-        x, y, parent_idx, move = events[idx]
+        idx = prev[node]
+        x, y, parent_idx, move = events[idx:idx + 4]
+        node = x if y == node else y
         moves: list[Move] = []
-        while move is not None:
-            moves.append(move)
-            _, _, parent_idx, move = events[parent_idx]
+        while move >= 0:
+            moves.append(ball.moves[move])
+            parent_idx, move = events[parent_idx + 2:parent_idx + 4]
         path.append(TraceStep(ball.elements[x], ball.elements[y],
                               tuple(reversed(moves))))
     path.reverse()

@@ -26,7 +26,6 @@ give up are counted per row, never dropped.
 from __future__ import annotations
 
 import math
-import statistics
 from array import array
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -317,6 +316,8 @@ def fit_power_law(ns: list[int], ds: list[int]) -> tuple[float, float]:
     ys = [math.log(d) for n, d in zip(ns, ds) if n >= 1 and d >= 1]
     if len(xs) < 2 or len(set(xs)) < 2:
         raise ValueError("need at least two distinct usable points")
+    import statistics  # here, not at the top: it loads fractions and decimal
+
     slope, intercept = statistics.linear_regression(xs, ys)
     return slope, math.exp(intercept)
 

@@ -199,16 +199,20 @@ def test_ball_table_entries_are_products(name):
     assert ball.elements[:2] == ["", ZERO]
     assert all(ball.ids[e] == i for i, e in enumerate(ball.elements))
     assert len(ball.table) == ball.width * len(ball.elements)
+    # outside ids are ~0, ~1, ... one per product, so with the check
+    # below two outside entries are equal exactly when their products are
+    assert sorted(ball.outside.values()) == list(range(-len(ball.outside), 0))
     filled = 0
     for j, entry in enumerate(ball.table):
-        if entry == congruence.UNKNOWN:
+        if entry is congruence.UNKNOWN:
             continue
         filled += 1
         side, g = ball.moves[j % ball.width]
         e = ball.elements[j // ball.width]
         p = product(system, g, e) if side == "L" else product(system, e, g)
-        if entry == congruence.OUTSIDE:
+        if entry < 0:
             assert not is_zero(p) and len(p) > 6
+            assert ball.outside[p] == entry
         else:
             assert ball.elements[entry] == p
     assert filled > 0
@@ -245,6 +249,22 @@ def test_ball_is_counted_once_and_its_products_reused(monkeypatch):
     assert counts["product"] == made
     probe_all_pairs(system, 1, 9)
     assert counts["growth"] == 1
+
+
+def test_products_outside_the_ball_are_made_once(monkeypatch):
+    system = _fresh("dehn-example")
+    seeds = [("a", "b"), ("bc", "ac")]
+    first = [probe_congruence(system, seed, 9) for seed in seeds]
+    assert len(congruence._ball(system, 9).outside) > 0
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(congruence, "product", counted)
+    assert [probe_congruence(system, seed, 9) for seed in seeds] == first
+    assert calls == []
 
 
 def test_ball_is_freed_with_its_system():

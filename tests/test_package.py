@@ -39,6 +39,12 @@ def test_importing_cli_loads_no_process_pool():
                          "multiprocessing")[1] == []
 
 
+def test_importing_cli_loads_no_statistics():
+    # only fit_power_law needs statistics, and no subcommand calls it
+    assert _fresh_import("rewbench.cli", "statistics", "fractions",
+                         "decimal")[1] == []
+
+
 def test_readme_library_tour_gives_the_values_its_comments_state():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
