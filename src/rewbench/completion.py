@@ -6,14 +6,17 @@ the other side also normalizes to ZERO.  Every ``RewritingSystem``
 terminates, so every reduct has a normal form and an unjoined pair is
 a genuine failure of local confluence.
 
-Completion keeps a deterministic first-in-first-out pair queue and
-inter-reduces after every round, so repeated runs on the same input
-produce identical rule lists.
+Overlaps come by rule1, then rule2, suffix-prefix ones by overlap
+length ascending before containments by position.  Completion compares
+the reducts' normal forms without building pair objects, keeps a
+deterministic first-in-first-out pair queue and inter-reduces after
+every round, so repeated runs on one input give identical rule lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import (
     ZERO,
@@ -98,6 +101,26 @@ class CompletionOutcome:
     reason: str = ""
 
 
+def _overlap_tuples(rules: tuple[Rule, ...]) -> Iterator[tuple]:
+    """``overlaps`` as ``(rule1, rule2, kind, offset, word)`` tuples."""
+    for i, r1 in enumerate(rules):
+        l1, n1 = r1.lhs, len(r1.lhs)
+        for j, r2 in enumerate(rules):
+            l2 = r2.lhs
+            # suffix-prefix offsets, right to left: lhs1's tails that start lhs2
+            first, lo = l2[0], max(1, n1 - len(l2) + 1)
+            p = l1.rfind(first, lo)
+            while p != -1:
+                if l2.startswith(l1[p:]):
+                    yield i, j, SUFFIX_PREFIX, p, l1[:p] + l2
+                p = l1.rfind(first, lo, p)
+            if i != j and len(l2) <= n1:
+                pos = l1.find(l2)
+                while pos != -1:
+                    yield i, j, CONTAINMENT, pos, l1
+                    pos = l1.find(l2, pos + 1)
+
+
 def overlaps(system: RewritingSystem) -> list[Overlap]:
     """All overlaps between rule left-hand sides, duplicate-free.
 
@@ -105,29 +128,30 @@ def overlaps(system: RewritingSystem) -> list[Overlap]:
     also paired with itself (a self overlap exists only at a nonzero
     offset).  Containment of one lhs in an equal lhs is reported for
     distinct rules so that duplicate left-hand sides still surface as a
-    critical pair.
+    critical pair.  Order: by rule1, then rule2; per pair suffix-prefix
+    by overlap length ascending, then containment by position.
     """
-    found: list[Overlap] = []
-    rules = system.rules
-    for i, r1 in enumerate(rules):
-        l1 = r1.lhs
-        for j, r2 in enumerate(rules):
-            l2 = r2.lhs
-            for k in range(1, min(len(l1), len(l2))):
-                if l1.endswith(l2[:k]):
-                    found.append(Overlap(i, j, SUFFIX_PREFIX, len(l1) - k, l1 + l2[k:]))
-            if i != j and len(l2) <= len(l1):
-                pos = l1.find(l2)
-                while pos != -1:
-                    found.append(Overlap(i, j, CONTAINMENT, pos, l1))
-                    pos = l1.find(l2, pos + 1)
-    return found
+    return [Overlap(*ov) for ov in _overlap_tuples(system.rules)]
 
 
 def _apply_at(word: str, pos: int, rule: Rule) -> Element:
     if rule.rhs is ZERO:
         return ZERO
     return word[:pos] + rule.rhs + word[pos + len(rule.lhs):]
+
+
+def _reducts(system: RewritingSystem) -> list[tuple]:
+    """``(overlap tuple, left, right, left_nf, right_nf)`` per overlap."""
+    rules = system.rules
+    found = []
+    for ov in _overlap_tuples(rules):
+        # rule1 always rewrites at position 0: a suffix-prefix word
+        # starts with lhs1 and a containment word *is* lhs1.
+        left = _apply_at(ov[4], 0, rules[ov[0]])
+        right = _apply_at(ov[4], ov[3], rules[ov[1]])
+        found.append((ov, left, right, normalize(system, left),
+                      normalize(system, right)))
+    return found
 
 
 def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
@@ -137,17 +161,7 @@ def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
     joins with a reduct that also normalizes to ZERO.  The system
     terminates, so both normal forms always exist.
     """
-    pairs: list[CriticalPair] = []
-    for ov in overlaps(system):
-        r1 = system.rules[ov.rule1]
-        r2 = system.rules[ov.rule2]
-        # rule1 always rewrites at position 0: a suffix-prefix word
-        # starts with lhs1 and a containment word *is* lhs1.
-        left = _apply_at(ov.word, 0, r1)
-        right = _apply_at(ov.word, ov.offset, r2)
-        pairs.append(CriticalPair(ov, left, right, normalize(system, left),
-                                  normalize(system, right)))
-    return pairs
+    return [CriticalPair(Overlap(*ov), *rest) for ov, *rest in _reducts(system)]
 
 
 def check_local_confluence(system: RewritingSystem) -> ConfluenceReport:
@@ -185,8 +199,8 @@ def knuth_bendix(p: Presentation, precedence: str = "",
         # an unjoined pair's normal forms differ, and the new lhs is a
         # normal form of ``system``, so no rule in ``rules`` has it
         new_rules = list(dict.fromkeys(
-            orient_equation(pair.left_nf, pair.right_nf, order, _COLLAPSED)
-            for pair in critical_pairs(system) if not pair.joinable))
+            orient_equation(lnf, rnf, order, _COLLAPSED)
+            for _, _, _, lnf, rnf in _reducts(system) if lnf != rnf))
         if not new_rules:
             return CompletionOutcome(True, system, steps)
         for rule in new_rules:

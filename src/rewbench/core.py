@@ -114,9 +114,9 @@ class Alphabet:
             raise ValueError("precedence must be a permutation of the letters")
 
     def check_word(self, word: str) -> str:
-        for ch in word:
-            if ch not in self.letters:
-                raise ValueError(f"letter {ch!r} not in alphabet {self.letters!r}")
+        rest = word.lstrip(self.letters)  # starts at the first bad letter
+        if rest:
+            raise ValueError(f"letter {rest[0]!r} not in alphabet {self.letters!r}")
         return word
 
 
@@ -137,7 +137,11 @@ class ShortlexOrder:
         return len(word), word.translate(self._rank_table)
 
     def less(self, u: Element, v: Element) -> bool:
-        return self.key(u) < self.key(v)
+        if u is ZERO or v is ZERO:
+            return v is not ZERO
+        if len(u) != len(v):
+            return len(u) < len(v)
+        return u.translate(self._rank_table) < v.translate(self._rank_table)
 
 
 @dataclass(frozen=True)

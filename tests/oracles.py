@@ -194,6 +194,32 @@ def naive_occurrences(patterns: list[str], word: str) -> list[tuple[int, int]]:
     return hits
 
 
+def brute_overlaps(lhss: list[str]) -> list[tuple[int, int, str, int, str]]:
+    """Every ``(i, j, kind, offset, word)`` overlap of two left-hand
+    sides, by placing lhs j at each offset in lhs i.
+
+    Per ordered pair (i, j): suffix-prefix placements first, offsets
+    from the right end of lhs i leftwards, where lhs j starts inside
+    lhs i and ends past it; then, for i != j only, containments, offsets
+    from 0 rightwards, where lhs j lies wholly inside lhs i.  Letters
+    are compared one at a time.
+    """
+    found = []
+    for i, u in enumerate(lhss):
+        for j, v in enumerate(lhss):
+            for off in range(len(u) - 1, 0, -1):
+                shared = len(u) - off
+                if shared < len(v) and all(u[off + t] == v[t]
+                                           for t in range(shared)):
+                    found.append((i, j, "suffix-prefix", off, u[:off] + v))
+            if i == j:
+                continue
+            for off in range(len(u) - len(v) + 1):
+                if all(u[off + t] == v[t] for t in range(len(v))):
+                    found.append((i, j, "containment", off, u))
+    return found
+
+
 def brute_normal_forms(precedence: str, forbidden: list[str],
                        max_len: int) -> list[str]:
     """Words of length <= max_len with no forbidden factor, in shortlex

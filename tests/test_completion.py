@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import closure_equal
+from oracles import brute_overlaps, closure_equal
 from rewbench.catalog import get_entry
 from rewbench.completion import (
     CONTAINMENT,
@@ -65,6 +65,21 @@ def test_containment_overlap_with_zero_is_unresolved():
     assert pair.left == "" and pair.right is ZERO
     assert (pair.left_nf, pair.right_nf) == ("", ZERO)
     assert not pair.joinable
+
+
+def test_overlaps_match_brute_force_oracle_in_order():
+    rng = random.Random(17)
+    for _ in range(600):
+        letters = "abc"[:rng.randint(1, 3)]
+        lhss = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 8)))
+                for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.3:
+            lhss.insert(rng.randrange(len(lhss) + 1), rng.choice(lhss))
+        system = RewritingSystem(Alphabet(letters),
+                                 [Rule(lhs, ZERO) for lhs in lhss])
+        found = [(ov.rule1, ov.rule2, ov.kind, ov.offset, ov.word)
+                 for ov in overlaps(system)]
+        assert found == brute_overlaps(lhss)
 
 
 def test_suffix_prefix_reducts():
@@ -129,11 +144,11 @@ def test_knuth_bendix_hits_limits_on_braidlike_relation():
 
 
 def test_knuth_bendix_orients_the_critical_pairs_normal_forms(monkeypatch):
-    # once critical_pairs has normalized a pair's reducts, completion
-    # must not normalize them again against the same system
+    # once _reducts has normalized a pair's reducts, completion must not
+    # normalize them again against the same system
     from rewbench import completion
     checked, repeats, inside = [], [], [False]
-    pairs_of, normalize_in = completion.critical_pairs, completion.normalize
+    pairs_of, normalize_in = completion._reducts, completion.normalize
 
     def spy_pairs(system):
         checked.append(system)
@@ -148,7 +163,7 @@ def test_knuth_bendix_orients_the_critical_pairs_normal_forms(monkeypatch):
             repeats.append(word)
         return normalize_in(system, word, *rest)
 
-    monkeypatch.setattr(completion, "critical_pairs", spy_pairs)
+    monkeypatch.setattr(completion, "_reducts", spy_pairs)
     monkeypatch.setattr(completion, "normalize", spy_normalize)
     p = Presentation(Alphabet("ab", "ab"), (("aba", "bab"),))
     outcome = knuth_bendix(p, limits=CompletionLimits(

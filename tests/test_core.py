@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 
@@ -77,6 +78,26 @@ def test_shortlex_is_total_and_multiplication_monotone():
             if order.less(u, v):
                 assert order.less("a" + u, "a" + v)
                 assert order.less(u + "b", v + "b")
+
+
+@pytest.mark.parametrize("letters,precedence",
+                         [("ab", "ab"), ("ab", "ba"), ("abcd", "bacd")])
+def test_shortlex_less_agrees_with_key(letters, precedence):
+    order = ShortlexOrder(Alphabet(letters, precedence))
+    elements = [ZERO] + ["".join(t) for n in range(5)
+                         for t in itertools.product(letters, repeat=n)]
+    for u in elements:
+        for v in elements:
+            assert order.less(u, v) == (order.key(u) < order.key(v))
+
+
+def test_check_word_names_the_first_bad_letter():
+    a = Alphabet("ab")
+    assert a.check_word("") == "" and a.check_word("abba") == "abba"
+    for word, bad in (("abxab", "x"), ("xab", "x"), ("ayxb", "y")):
+        with pytest.raises(ValueError) as exc:
+            a.check_word(word)
+        assert str(exc.value) == f"letter {bad!r} not in alphabet 'ab'"
 
 
 def test_rule_rejects_empty_lhs():
