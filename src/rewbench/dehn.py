@@ -14,9 +14,10 @@ breadth-first search between two vertices, and ``_layers``, the
 distance layers around one vertex.  ``dehn_area`` answers one pair
 with the first.  ``dehn_profile`` aggregates max area over all equal
 pairs with bounded total length; all pairs of one equivalence class are
-resolved together.  A class with partners longer than half the budget
-gets one lazily grown class graph: its partners come from running the
-complete rules backwards from the normal form, each short source sweeps
+resolved together, one task per normal form of at most half the budget.
+A nonzero class's words come from running the complete rules backwards
+from its normal form.  A class with partners longer than half the
+budget gets one lazily grown class graph: each short source sweeps
 ``_layers`` over the graph only until it has reached all of them, and a
 word's neighbours are generated once, when some search first expands
 it.  Other classes are resolved pair by pair.  Budgeted searches that
@@ -39,10 +40,12 @@ from .core import (
     RewritingSystem,
     UnorientableRelationError,
     codepoint_key,
+    format_element,
     is_zero,
     normalize,
     orient,
 )
+from .enumeration import iter_normal_forms
 from .parallel import parallel_map
 
 AREA = "area"
@@ -437,22 +440,23 @@ class _ClassGraph:
         return row
 
 
-def _resolve_nonzero_class(nf: str, members: list[str], n_max: int,
-                           max_len: int, system: RewritingSystem,
+def _resolve_nonzero_class(nf: str, n_max: int, max_len: int,
+                           system: RewritingSystem,
                            moves: list[tuple[str, Element]],
                            limits: ProfileLimits) -> _ClassOutcome:
-    """Areas of all qualifying pairs inside one nonzero class.
+    """Areas of all qualifying pairs inside the class of normal form nf.
 
-    ``members`` are the class members of length <= n_max // 2; the
-    class normal form is the shortest member.  Classes whose pairs stay
-    among these members run one bidirectional word search per pair.
-    Otherwise some member, a deep source, is short enough to pair with
-    longer partners, and the class gets one ``_ClassGraph``:
+    Only class words of length <= n_max - |nf| can be in a pair.  Each
+    one rewrites to nf without ever growing, so running the rules
+    backwards from nf within that length finds them all and nothing
+    else; the members are those of length <= n_max // 2.  When
+    |nf| = n_max / 2, every class word found is a member of that length,
+    and each pair of them runs one bidirectional word search.  Otherwise
+    some members, the deep sources (nf among them), are short enough to
+    pair with longer partners, and the class gets one ``_ClassGraph``:
 
-    - Every class word of length <= n_max - |nf| is a partner of some
-      source.  Each one rewrites to nf without ever growing, so running
-      the rules backwards from nf within that length finds them all and
-      nothing else.
+    - The backward closure is interned first, as it is found; its words
+      are the partners.
     - Each deep source sweeps distance layers over the graph and stops
       after the layer holding its last partner; the distances are exact
       breadth-first ones.
@@ -463,28 +467,29 @@ def _resolve_nonzero_class(nf: str, members: list[str], n_max: int,
     graph outgrows ``max_class_vertices`` is marked incomplete and
     contributes no pairs.
     """
-    out = _ClassOutcome(label=nf if nf else "1")
+    out = _ClassOutcome(label=format_element(nf))
     half = n_max // 2
     deep_threshold = n_max - half - 1
+    back = [(r.rhs, r.lhs) for r in system.rules if r.rhs is not ZERO]
+    closure = (w for layer in _layers(nf, partial(
+        _word_neighbors, moves=back, max_len=n_max - len(nf))) for w in layer)
     if len(nf) > deep_threshold:
         _record_pairs(out, n_max, _pair_areas(
-            sorted(members, key=codepoint_key), lambda w: w,
+            sorted(closure, key=codepoint_key), lambda w: w,
             partial(_word_neighbors, moves=moves, max_len=max_len),
             limits.max_pair_nodes))
         return out
     graph = _ClassGraph(moves, max_len, limits.max_class_vertices)
     words = graph.words
-    back = [(r.rhs, r.lhs) for r in system.rules if r.rhs is not ZERO]
     try:
-        for layer in _layers(nf, partial(_word_neighbors, moves=back,
-                                          max_len=n_max - len(nf))):
-            for w in layer:
-                graph.vertex(w)
+        for w in closure:
+            graph.vertex(w)
         partner_keys = [codepoint_key(w) for w in words]
+        members = sorted((w for w in words if len(w) <= half),
+                         key=codepoint_key)
         # per deep source, (partner id, distance) pairs in one flat array
         sweeps: list[tuple[str, array]] = []
-        for u in sorted((w for w in members if len(w) <= deep_threshold),
-                        key=codepoint_key):
+        for u in (w for w in members if len(w) <= deep_threshold):
             # codepoint_key puts shorter words first, so a pair of deep
             # words is measured once, from the smaller one
             ku = codepoint_key(u)
@@ -504,8 +509,7 @@ def _resolve_nonzero_class(nf: str, members: list[str], n_max: int,
                 raise AssertionError(f"class graph split at {u!r}")
             sweeps.append((u, hits))
         balanced = list(_pair_areas(
-            sorted((w for w in members if len(w) > deep_threshold),
-                   key=codepoint_key),
+            [w for w in members if len(w) > deep_threshold],
             graph.vertex, graph.neighbors, limits.max_pair_nodes))
     except _ClassFull:
         out.incomplete = True
@@ -539,23 +543,24 @@ def _distance_to_zero(w: str, zero_patterns: list[str],
     return None
 
 
-def _resolve_zero_class(system: RewritingSystem, short_zeros: list[str],
-                        n_max: int, max_len: int,
+def _resolve_zero_class(system: RewritingSystem, n_max: int, max_len: int,
                         moves: list[tuple[str, Element]],
                         limits: ProfileLimits) -> _ClassOutcome:
     """Areas of all qualifying pairs of zero words.
 
-    ``short_zeros`` is nonempty, so the system has a zero rule.  A
-    pair's distance is the smaller of its direct distance and the
-    through-zero route d(u, 0) + d(0, v).  Direct distances are only
-    searched when they could beat the through-zero sum: a ball of that
-    depth around the shorter word answers membership, and a per-step
-    length change bound rules many pairs out up front.
+    The system has a zero rule.  Rules never lengthen a word, so the
+    shortest zero word is the shortest zero lhs, and no zero word longer
+    than n_max minus its length has a partner; the members are found by
+    normalizing every word up to that length.  A pair's distance is the
+    smaller of its direct distance and the through-zero route
+    d(u, 0) + d(0, v).  Direct distances are only searched when they
+    could beat the through-zero sum: a ball of that depth around the
+    shorter word answers membership, and a per-step length change bound
+    rules many pairs out up front.
     """
-    out = _ClassOutcome(label="0")
+    out = _ClassOutcome(label=format_element(ZERO))
     zero_patterns = sorted({r.lhs for r in system.rules if r.rhs is ZERO})
-    min_zero_len = min(len(w) for w in short_zeros)
-    partner_cap = n_max - min_zero_len
+    partner_cap = n_max - min(map(len, zero_patterns))
     members = [w for w in _all_words(system.alphabet.precedence, partner_cap)
                if is_zero(normalize(system, w))]
     neighbors = partial(_word_neighbors, moves=moves, max_len=max_len)
@@ -607,14 +612,11 @@ def _resolve_zero_class(system: RewritingSystem, short_zeros: list[str],
 
 def _resolve_class(shared: tuple[RewritingSystem, list[tuple[str, Element]],
                                  int, int, ProfileLimits],
-                   task: tuple[Optional[str], list[str]]) -> _ClassOutcome:
+                   nf: Element) -> _ClassOutcome:
     system, moves, n_max, max_len, limits = shared
-    nf, members = task
-    if nf is None:
-        return _resolve_zero_class(system, members, n_max, max_len, moves,
-                                   limits)
-    return _resolve_nonzero_class(nf, members, n_max, max_len, system, moves,
-                                  limits)
+    if nf is ZERO:
+        return _resolve_zero_class(system, n_max, max_len, moves, limits)
+    return _resolve_nonzero_class(nf, n_max, max_len, system, moves, limits)
 
 
 def dehn_profile(p: Presentation, n_max: int, *,
@@ -644,23 +646,14 @@ def dehn_profile(p: Presentation, n_max: int, *,
     moves = _relation_moves(p)
     max_len = n_max + slack
     half = n_max // 2
-    classes: dict[str, list[str]] = {}
-    zero_shorts: list[str] = []
-    for w in _all_words(system.alphabet.precedence, half):
-        nf = normalize(system, w)
-        if is_zero(nf):
-            zero_shorts.append(w)
-        else:
-            classes.setdefault(nf, []).append(w)
-    # the zero class is usually the largest task; started first, it runs
-    # beside the others with jobs > 1 instead of alone after them
-    tasks: list[tuple[Optional[str], list[str]]] = (
-        [(None, zero_shorts)] if zero_shorts else [])
-    tasks += [
-        (nf, members) for nf, members in
-        sorted(classes.items(), key=lambda kv: codepoint_key(kv[0]))
-        if len(members) > 1 or len(nf) <= n_max - half - 1
-    ]
+    # one task per class with a word of length <= half; rules never
+    # lengthen a word, so the zero class has one iff a zero lhs does
+    tasks: list[Element] = list(iter_normal_forms(system, half))
+    if any(r.rhs is ZERO and len(r.lhs) <= half for r in system.rules):
+        tasks.append(ZERO)
+    # the zero class is usually the largest task; codepoint_key starts it
+    # first, so with jobs > 1 it runs beside the others, not alone after
+    tasks.sort(key=codepoint_key)
     outcomes = parallel_map(_resolve_class,
                             (system, moves, n_max, max_len, limits),
                             tasks, jobs)

@@ -178,7 +178,7 @@ def test_knuth_bendix_detects_collapse_to_zero():
         knuth_bendix(p)
 
 
-def test_critical_pairs_of_nonterminating_system_run_under_fallback_budget():
+def test_critical_pairs_reach_normal_forms_without_a_step_budget():
     # the non-terminating a -> aa cannot be built, so critical pairs need
     # no fallback budget: both sides always reach normal forms
     with pytest.raises(ValueError, match="does not decrease shortlex"):

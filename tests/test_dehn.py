@@ -12,6 +12,7 @@ from oracles import (
     brute_profile,
     one_step,
     relation_edges,
+    rightmost_reduce,
 )
 from rewbench import dehn
 from rewbench.catalog import CatalogEntry, get_entry, list_catalog
@@ -198,12 +199,13 @@ def test_profile_matches_brute_force_oracle(name, slack):
     assert res.limited_pairs == 0
 
 
+COMM_AA0 = CatalogEntry("comm-aa0", Presentation(
+    Alphabet("ab"), (("ab", "ba"), ("aa", ZERO))), "ba", "test")
+
+
 def test_profile_pair_areas_match_brute_force_oracle(monkeypatch):
-    # aa = 0 with ab = ba: (aab, aba) and (aba, baa) are one swap apart
-    # but three steps through zero, so only the direct-route search of
-    # the zero class finds d = 1; row maxima never show it.
-    entry = CatalogEntry("comm-aa0", Presentation(
-        Alphabet("ab"), (("ab", "ba"), ("aa", ZERO))), "ba", "test")
+    # rows pin only maxima; here every recorded pair and area must be
+    # the oracle's, on the zero class and the nonzero classes alike
     seen = {}
     record = dehn._ClassOutcome.record
 
@@ -212,12 +214,36 @@ def test_profile_pair_areas_match_brute_force_oracle(monkeypatch):
         record(self, m, d, u, v)
 
     monkeypatch.setattr(dehn._ClassOutcome, "record", spy)
-    res = dehn_profile(entry.presentation, 6, slack=2,
-                       precedence=entry.precedence)
-    expected = brute_pair_areas(entry, 6, 2)
-    assert seen == expected
-    assert res.resolved_pairs == len(expected) == 25
-    assert seen[("aab", "aba")] == seen[("aba", "baa")] == 1
+    runs = [(COMM_AA0, 6, 2)] + [(get_entry(name), n_max, 1)
+                                 for name in ("M1", "M2", "dehn-example")
+                                 for n_max in (5, 6)]
+    for entry, n_max, slack in runs:
+        seen.clear()
+        res = dehn_profile(entry.presentation, n_max, slack=slack,
+                           precedence=entry.precedence)
+        expected = brute_pair_areas(entry, n_max, slack)
+        assert seen == expected, (entry.name, n_max)
+        assert res.resolved_pairs == len(expected), (entry.name, n_max)
+        if entry is COMM_AA0:
+            # aa = 0 with ab = ba: (aab, aba) and (aba, baa) are one swap
+            # apart but three steps through zero, so only the direct-route
+            # search of the zero class finds d = 1; row maxima never show it
+            assert len(expected) == 25
+            assert seen[("aab", "aba")] == seen[("aba", "baa")] == 1
+
+
+@pytest.mark.parametrize("name", ["M1", "M2", "M3", "dehn-example",
+                                  "comm-aa0"])
+def test_shortest_zero_word_is_a_zero_lhs(name):
+    # dehn_profile has a zero task iff a zero lhs has at most n_max // 2
+    # letters: rules never lengthen a word, so no zero word is shorter
+    entry = COMM_AA0 if name == "comm-aa0" else get_entry(name)
+    letters = entry.presentation.alphabet.letters
+    shortest = next(n for n in range(7)
+                    for t in product(letters, repeat=n)
+                    if rightmost_reduce(entry.system, "".join(t)) is ZERO)
+    assert shortest == min(len(r.lhs) for r in entry.system.rules
+                           if r.rhs is ZERO)
 
 
 def _recorded_pairs(monkeypatch, *args, **kwargs):
@@ -273,9 +299,9 @@ def test_class_graph_expands_each_word_once(monkeypatch, name):
         calls[word, id(moves)] += 1
         return word_neighbors(word, moves, max_len)
 
-    def per_class(nf, members, n_max, *args):
+    def per_class(nf, n_max, *args):
         calls.clear()
-        out = resolve(nf, members, n_max, *args)
+        out = resolve(nf, n_max, *args)
         if len(nf) <= n_max - n_max // 2 - 1:
             graphs.append(nf)
             assert max(calls.values()) == 1, nf
@@ -327,7 +353,7 @@ def test_profile_starts_the_zero_class_first(monkeypatch):
                         parallel_map(fn, shared, tasks, jobs))
     e = _dehn()
     dehn_profile(e.presentation, 6, precedence=e.precedence)
-    assert seen[0][0] is None
+    assert seen[0] is ZERO
 
 
 def test_profile_requires_complete_system():
