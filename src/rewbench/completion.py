@@ -102,7 +102,16 @@ class CompletionOutcome:
 
 
 def _overlap_tuples(rules: tuple[Rule, ...]) -> Iterator[tuple]:
-    """``overlaps`` as ``(rule1, rule2, kind, offset, word)`` tuples."""
+    """All overlaps between rule left-hand sides, duplicate-free, as
+    ``(rule1, rule2, kind, offset, word)`` tuples (see ``Overlap``).
+
+    Both ordered pairs of distinct rules are scanned, and every rule is
+    also paired with itself (a self overlap exists only at a nonzero
+    offset).  Containment of one lhs in an equal lhs is reported for
+    distinct rules so that duplicate left-hand sides still surface as a
+    critical pair.  Order: by rule1, then rule2; per pair suffix-prefix
+    by overlap length ascending, then containment by position.
+    """
     for i, r1 in enumerate(rules):
         l1, n1 = r1.lhs, len(r1.lhs)
         for j, r2 in enumerate(rules):
@@ -119,19 +128,6 @@ def _overlap_tuples(rules: tuple[Rule, ...]) -> Iterator[tuple]:
                 while pos != -1:
                     yield i, j, CONTAINMENT, pos, l1
                     pos = l1.find(l2, pos + 1)
-
-
-def overlaps(system: RewritingSystem) -> list[Overlap]:
-    """All overlaps between rule left-hand sides, duplicate-free.
-
-    Both ordered pairs of distinct rules are scanned, and every rule is
-    also paired with itself (a self overlap exists only at a nonzero
-    offset).  Containment of one lhs in an equal lhs is reported for
-    distinct rules so that duplicate left-hand sides still surface as a
-    critical pair.  Order: by rule1, then rule2; per pair suffix-prefix
-    by overlap length ascending, then containment by position.
-    """
-    return [Overlap(*ov) for ov in _overlap_tuples(system.rules)]
 
 
 def _apply_at(word: str, pos: int, rule: Rule) -> Element:
@@ -211,14 +207,12 @@ def knuth_bendix(p: Presentation, precedence: str = "",
                                          reason="max_word_len")
             rules.append(rule)
             steps += 1
-            if len(rules) > limits.max_rules:
+            if len(rules) > limits.max_rules or steps > limits.max_steps:
+                reason = ("max_rules" if len(rules) > limits.max_rules
+                          else "max_steps")
                 return CompletionOutcome(False, RewritingSystem(alphabet, rules),
                                          steps, unresolved_count=len(new_rules),
-                                         reason="max_rules")
-            if steps > limits.max_steps:
-                return CompletionOutcome(False, RewritingSystem(alphabet, rules),
-                                         steps, unresolved_count=len(new_rules),
-                                         reason="max_steps")
+                                         reason=reason)
         system = RewritingSystem(alphabet, rules)
 
 

@@ -17,20 +17,20 @@ pairs with bounded total length; all pairs of one equivalence class are
 resolved together, one task per normal form of at most half the budget.
 A nonzero class's words come from running the complete rules backwards
 from its normal form.  A class with partners longer than half the
-budget gets one lazily grown class graph: each short source sweeps
+budget gets one lazily grown class graph: each short source runs
 ``_layers`` over the graph only until it has reached all of them, and a
 word's neighbours are generated once, when some search first expands
-it.  Other classes are resolved pair by pair.  Budgeted searches that
-give up are counted per row, never dropped.
+it.  Other classes are resolved pair by pair, and every pair is
+recorded as soon as it is measured.  Budgeted searches that give up
+are counted per row, never dropped.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Callable, Hashable, Iterable, Iterator, Optional
+from typing import Callable, Hashable, Iterator, Optional
 
 from .completion import check_local_confluence
 from .core import (
@@ -275,7 +275,7 @@ class ProfileLimits:
 
     ``max_class_vertices`` counts the words one class graph holds: the
     normal form's partners plus every word its searches reach.  One
-    word more marks the class incomplete, and it records no pairs.
+    word more marks the class incomplete, and it contributes no pairs.
     ``max_pair_nodes`` counts the vertices one bidirectional pair
     search reaches; one more counts that pair as limited.  A search
     stops as soon as its answer is settled, mid-level included, so only
@@ -325,15 +325,6 @@ def fit_power_law(ns: list[int], ds: list[int]) -> tuple[float, float]:
     return slope, math.exp(intercept)
 
 
-def _all_words(alphabet_letters: str, max_len: int) -> list[str]:
-    words = [""]
-    level = [""]
-    for _ in range(max_len):
-        level = [w + g for w in level for g in alphabet_letters]
-        words.extend(level)
-    return words
-
-
 def _keep_best(best_by_m: dict[int, tuple[int, str, str]], m: int, d: int,
                u: str, v: str) -> None:
     """Keeps the pair with the larger area per m; equal areas go to the
@@ -369,29 +360,23 @@ class _ClassOutcome:
         self.limited_by_m[m] = self.limited_by_m.get(m, 0) + 1
 
 
-def _pair_areas(ordered: list[str], vertex: Callable[[str], Hashable],
-                neighbors: Callable[[Hashable], list], budget: int,
-                ) -> Iterator[tuple[str, str, Optional[int]]]:
-    """Each pair of ``ordered`` with its distance from one bidirectional
-    search, or None when that search hit ``budget``; ``vertex`` maps a
-    word to its graph vertex."""
+def _record_pair_areas(out: _ClassOutcome, n_max: int, ordered: list[str],
+                       vertex: Callable[[str], Hashable],
+                       neighbors: Callable[[Hashable], list],
+                       budget: int) -> None:
+    """Records each pair of ``ordered``, words of length n_max / 2, with
+    its distance from one bidirectional search, or as limited when that
+    search hit ``budget``; ``vertex`` maps a word to its graph vertex."""
     for i, u in enumerate(ordered):
         for v in ordered[i + 1:]:
             try:
                 found = _bidi_search(vertex(u), vertex(v), neighbors, budget)
             except _SearchLimit:
                 found = None
-            yield u, v, None if found is None else found[0]
-
-
-def _record_pairs(out: _ClassOutcome, n_max: int,
-                  areas: Iterable[tuple[str, str, Optional[int]]]) -> None:
-    """Records pairs whose words all have length n_max / 2."""
-    for u, v, d in areas:
-        if d is None:
-            out.record_limited(n_max)
-        else:
-            out.record(n_max, d, u, v)
+            if found is None:
+                out.record_limited(n_max)
+            else:
+                out.record(n_max, found[0], u, v)
 
 
 class _ClassFull(Exception):
@@ -457,15 +442,15 @@ def _resolve_nonzero_class(nf: str, n_max: int, max_len: int,
 
     - The backward closure is interned first, as it is found; its words
       are the partners.
-    - Each deep source sweeps distance layers over the graph and stops
+    - Each deep source walks distance layers over the graph and stops
       after the layer holding its last partner; the distances are exact
       breadth-first ones.
     - Pairs of the other members, all of length n_max / 2, run the
       bidirectional search over the same graph.
 
-    Pairs are recorded only once all searches finished: a class whose
-    graph outgrows ``max_class_vertices`` is marked incomplete and
-    contributes no pairs.
+    Each pair is recorded as soon as it is measured.  A class whose
+    graph outgrows ``max_class_vertices`` returns a fresh outcome marked
+    incomplete instead, so it contributes no pairs.
     """
     out = _ClassOutcome(label=format_element(nf))
     half = n_max // 2
@@ -474,10 +459,10 @@ def _resolve_nonzero_class(nf: str, n_max: int, max_len: int,
     closure = (w for layer in _layers(nf, partial(
         _word_neighbors, moves=back, max_len=n_max - len(nf))) for w in layer)
     if len(nf) > deep_threshold:
-        _record_pairs(out, n_max, _pair_areas(
-            sorted(closure, key=codepoint_key), lambda w: w,
+        _record_pair_areas(
+            out, n_max, sorted(closure, key=codepoint_key), lambda w: w,
             partial(_word_neighbors, moves=moves, max_len=max_len),
-            limits.max_pair_nodes))
+            limits.max_pair_nodes)
         return out
     graph = _ClassGraph(moves, max_len, limits.max_class_vertices)
     words = graph.words
@@ -487,8 +472,6 @@ def _resolve_nonzero_class(nf: str, n_max: int, max_len: int,
         partner_keys = [codepoint_key(w) for w in words]
         members = sorted((w for w in words if len(w) <= half),
                          key=codepoint_key)
-        # per deep source, (partner id, distance) pairs in one flat array
-        sweeps: list[tuple[str, array]] = []
         for u in (w for w in members if len(w) <= deep_threshold):
             # codepoint_key puts shorter words first, so a pair of deep
             # words is measured once, from the smaller one
@@ -496,29 +479,22 @@ def _resolve_nonzero_class(nf: str, n_max: int, max_len: int,
             cap = n_max - len(u)
             wanted = {j for j, k in enumerate(partner_keys)
                       if ku < k and k[0] <= cap}
-            hits = array("i")
             for d, layer in enumerate(_layers(graph.vertex(u),
                                               graph.neighbors)):
                 for j in layer:
                     if j in wanted:
                         wanted.remove(j)
-                        hits.extend((j, d))
+                        v = words[j]
+                        out.record(len(u) + len(v), d, u, v)
                 if not wanted:
                     break
             if wanted:
                 raise AssertionError(f"class graph split at {u!r}")
-            sweeps.append((u, hits))
-        balanced = list(_pair_areas(
-            [w for w in members if len(w) > deep_threshold],
-            graph.vertex, graph.neighbors, limits.max_pair_nodes))
+        _record_pair_areas(
+            out, n_max, [w for w in members if len(w) > deep_threshold],
+            graph.vertex, graph.neighbors, limits.max_pair_nodes)
     except _ClassFull:
-        out.incomplete = True
-        return out
-    for u, hits in sweeps:
-        for j, d in zip(hits[::2], hits[1::2]):
-            v = words[j]
-            out.record(len(u) + len(v), d, u, v)
-    _record_pairs(out, n_max, balanced)
+        return _ClassOutcome(label=out.label, incomplete=True)
     return out
 
 
@@ -561,8 +537,9 @@ def _resolve_zero_class(system: RewritingSystem, n_max: int, max_len: int,
     out = _ClassOutcome(label=format_element(ZERO))
     zero_patterns = sorted({r.lhs for r in system.rules if r.rhs is ZERO})
     partner_cap = n_max - min(map(len, zero_patterns))
-    members = [w for w in _all_words(system.alphabet.precedence, partner_cap)
-               if is_zero(normalize(system, w))]
+    every_word = iter_normal_forms(RewritingSystem(system.alphabet, ()),
+                                   partner_cap)
+    members = [w for w in every_word if is_zero(normalize(system, w))]
     neighbors = partial(_word_neighbors, moves=moves, max_len=max_len)
     d0 = {w: _distance_to_zero(w, zero_patterns, neighbors,
                                limits.max_zero_ball) for w in members}

@@ -311,3 +311,23 @@ def random_reduce(system: RewritingSystem, word: Union[str, Element],
             return ZERO
         current = current[:pos] + rule.rhs + current[pos + len(rule.lhs):]
     raise AssertionError("random_reduce did not terminate")
+
+
+def brute_context_length(system: RewritingSystem, w: str,
+                         max_len: int) -> Optional[int]:
+    """Least |x| + |y| over contexts with x w y = 1, or None when no
+    context of at most max_len letters works.
+
+    Contexts are tried in order of total length, every split of it and
+    every pair of words, and each x w y is reduced by
+    ``rightmost_reduce``.
+    """
+    letters = system.alphabet.letters
+    for total in range(max_len + 1):
+        for k in range(total + 1):
+            for x in itertools.product(letters, repeat=k):
+                for y in itertools.product(letters, repeat=total - k):
+                    if rightmost_reduce(system, "".join(x) + w
+                                        + "".join(y)) == "":
+                        return total
+    return None

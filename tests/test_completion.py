@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -12,7 +13,6 @@ from rewbench.completion import (
     check_local_confluence,
     critical_pairs,
     knuth_bendix,
-    overlaps,
 )
 from rewbench.core import (
     ZERO,
@@ -29,7 +29,7 @@ from rewbench.core import (
 def test_catalog_systems_have_no_overlaps():
     for name in ("M1", "M2", "M3", "M4", "M5", "dehn-example"):
         system = get_entry(name).system
-        assert overlaps(system) == []
+        assert critical_pairs(system) == []
         report = check_local_confluence(system)
         assert report.locally_confluent
         assert report.terminating
@@ -39,7 +39,7 @@ def test_catalog_systems_have_no_overlaps():
 
 def test_self_overlap_at_nonzero_offset():
     system = RewritingSystem(Alphabet("a", "a"), [Rule("aa", "a")])
-    found = overlaps(system)
+    found = [cp.overlap for cp in critical_pairs(system)]
     assert len(found) == 1
     ov = found[0]
     assert (ov.rule1, ov.rule2, ov.kind, ov.offset, ov.word) == \
@@ -53,7 +53,7 @@ def test_self_overlap_at_nonzero_offset():
 def test_containment_overlap_with_zero_is_unresolved():
     system = RewritingSystem(Alphabet("ab", "ab"),
                              [Rule("abb", ""), Rule("ab", ZERO)])
-    found = overlaps(system)
+    found = [cp.overlap for cp in critical_pairs(system)]
     assert len(found) == 1
     ov = found[0]
     assert (ov.rule1, ov.rule2, ov.kind, ov.offset, ov.word) == \
@@ -77,15 +77,15 @@ def test_overlaps_match_brute_force_oracle_in_order():
             lhss.insert(rng.randrange(len(lhss) + 1), rng.choice(lhss))
         system = RewritingSystem(Alphabet(letters),
                                  [Rule(lhs, ZERO) for lhs in lhss])
-        found = [(ov.rule1, ov.rule2, ov.kind, ov.offset, ov.word)
-                 for ov in overlaps(system)]
+        found = [astuple(cp.overlap) for cp in critical_pairs(system)]
         assert found == brute_overlaps(lhss)
 
 
 def test_suffix_prefix_reducts():
     system = RewritingSystem(Alphabet("ab", "ab"),
                              [Rule("ab", "a"), Rule("ba", "b")])
-    words = {(ov.kind, ov.word) for ov in overlaps(system)}
+    words = {(cp.overlap.kind, cp.overlap.word)
+             for cp in critical_pairs(system)}
     assert (SUFFIX_PREFIX, "aba") in words
     assert (SUFFIX_PREFIX, "bab") in words
 

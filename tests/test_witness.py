@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import brute_context_length, brute_normal_forms, rightmost_reduce
 from rewbench.catalog import get_entry
 from rewbench.core import ZERO, is_zero, normalize
 from rewbench.enumeration import iter_normal_forms
@@ -89,3 +90,19 @@ def test_search_witness_is_shortest():
     pair = unit_witness_search(system, "b")
     assert pair is not None
     assert len(pair.x) + len(pair.y) == 1
+
+
+@pytest.mark.parametrize("name", ["M1", "M2", "M3", "dehn-example"])
+def test_search_witness_length_matches_brute_force_oracle(name):
+    # contexts here have at most 5 letters, so states stay far below
+    # SEARCH_MAX_LEN and pruning cannot explain a difference
+    system = get_entry(name).system
+    words = brute_normal_forms(system.alphabet.precedence,
+                               [r.lhs for r in system.rules], 4)
+    assert len(words) > 100
+    for w in words:
+        pair = unit_witness_search(system, w)
+        assert pair is not None, w
+        assert rightmost_reduce(system, pair.x + w + pair.y) == "", w
+        assert len(pair.x) + len(pair.y) == brute_context_length(
+            system, w, 6), w
