@@ -2,15 +2,15 @@
 
 A probe saturates the congruence generated by one seed pair inside the
 ball of normal forms of length <= radius (plus ZERO), using a union-find
-over the ids of a ``_Ball`` (built once per system and radius, kept on
-the system while it lives, its one-letter products filled in on demand)
-and a FIFO worklist of derived pairs.  Each successful union is an
-event that remembers how its pair was derived from the seed, so a
-collapse (1 falling together with 0) comes with a replayable
-certificate.  Products that leave the ball get negative ids, made
-once like the others; they are counted, not followed, so an
-undetermined verdict with zero truncations is a proof that the
-quotient stays nontrivial on the ball.
+over the ids of a ``_Ball`` and a FIFO worklist of derived pairs.  The
+ball is built once per system and radius and kept on the system while
+it lives; an element's row of one-letter products is made when a probe
+first expands it.  Each successful union is an event that remembers
+how its pair was derived from the seed, so a collapse (1 falling
+together with 0) comes with a replayable certificate.  Products that
+leave the ball get negative ids, made once like the others; they are
+counted, not followed, so an undetermined verdict with zero
+truncations is a proof that the quotient stays nontrivial on the ball.
 """
 
 from __future__ import annotations
@@ -91,30 +91,26 @@ class ProbeSummary:
     worst_trace_len: int
 
 
-UNKNOWN = None  # action table entry not yet filled
-
-
 class _Ball:
     """Normal forms of length <= radius plus ZERO (``size`` of them),
     with integer ids given on first sight: "" is 0 and ZERO is 1.  A
     product longer than the radius gets a negative id instead, ``~j``
     for the j-th such product seen, kept in ``outside``, so two outside
     products share an id exactly when they are equal.
-    ``table[i * width + k]`` is the id of ``elements[i]`` times the move
-    ``moves[k]``, one letter on the left or right: UNKNOWN until ``act``
-    fills it with one ``product`` call.  A list, so entries share the
-    ints of ``ids``."""
+    ``rows[i]`` is None until ``row`` first expands ``elements[i]``;
+    then it lists the ids of its products by each of ``moves``, one
+    letter on the left or right, made with one ``product`` call each.
+    Rows are lists, so their entries share the ints of ``ids``."""
 
     def __init__(self, system: RewritingSystem, radius: int):
         self.radius = radius
         self.size = growth_series(system, radius).total() + 1
         self.moves = [(side, g) for g in system.alphabet.letters
                       for side in "LR"]
-        self.width = len(self.moves)
         self.elements: list[Element] = ["", ZERO]
         self.ids = {"": 0, ZERO: 1}
         self.outside: dict[Element, int] = {}
-        self.table = [UNKNOWN] * 2 * self.width
+        self.rows: list[Optional[list[int]]] = [None, None]
 
     def id(self, e: Element) -> int:
         i = self.ids.get(e)
@@ -123,15 +119,16 @@ class _Ball:
                 return self.outside.setdefault(e, ~len(self.outside))
             i = self.ids[e] = len(self.elements)
             self.elements.append(e)
-            self.table.extend([UNKNOWN] * self.width)
+            self.rows.append(None)
         return i
 
-    def act(self, system: RewritingSystem, i: int, k: int) -> int:
-        side, g = self.moves[k]
+    def row(self, system: RewritingSystem, i: int) -> list[int]:
         e = self.elements[i]
-        p = product(system, g, e) if side == "L" else product(system, e, g)
-        j = self.table[i * self.width + k] = self.id(p)
-        return j
+        row = self.rows[i] = [
+            self.id(product(system, g, e) if side == "L"
+                    else product(system, e, g))
+            for side, g in self.moves]
+        return row
 
 
 def _ball(system: RewritingSystem, radius: int) -> _Ball:
@@ -156,17 +153,18 @@ def probe_congruence(system: RewritingSystem, seed: tuple[Element, Element],
     """Saturates the congruence generated by ``seed`` inside the ball.
 
     Both seed components are normalized first (this does not change the
-    generated congruence) and must land inside the ball.  The worklist
-    is finite, so the probe always terminates: every enqueued pair is
-    a child of a successful union and unions are bounded by the ball
-    size.  FIFO order plus the fixed letter order make the result, and
-    in particular the truncation count, reproducible.
+    generated congruence) and must land inside the ball; a letter
+    outside the alphabet is a ValueError.  The worklist is finite, so
+    the probe always terminates: every enqueued pair is a child of a
+    successful union and unions are bounded by the ball size.  FIFO
+    order plus the fixed letter order make the result, and in
+    particular the truncation count, reproducible.
 
     The union-find runs on the ids of the system's ball for ``radius``,
-    whose products are made on first demand and kept for later probes.
+    whose rows are made on first demand and kept for later probes.
     """
-    u0 = normalize(system, seed[0])
-    v0 = normalize(system, seed[1])
+    check = system.alphabet.check_word
+    u0, v0 = (e if is_zero(e) else normalize(system, check(e)) for e in seed)
     has_zero = _has_zero(system) or is_zero(u0) or is_zero(v0)
     for e in (u0, v0):
         _check_seed(e, radius)
@@ -176,7 +174,7 @@ def probe_congruence(system: RewritingSystem, seed: tuple[Element, Element],
     if u0 == v0:
         return ProbeResult(False, None, universe_size, 0, 0, universe_size, radius)
 
-    table, width = ball.table, ball.width
+    rows = ball.rows
     parent: dict[int, int] = {}  # roots are left out
     size: dict[int, int] = {}
     # Queue entries and events are four flat ints each: x, y, the offset
@@ -211,13 +209,10 @@ def probe_congruence(system: RewritingSystem, seed: tuple[Element, Element],
         if root0 == root1:
             trace = CollapseTrace((u0, v0), _collapse_path(ball, events))
             break
-        bx, by = x * width, y * width
-        for k in range(width):
-            px, py = table[bx + k], table[by + k]
-            if px is UNKNOWN:
-                px = ball.act(system, x, k)
-            if py is UNKNOWN:
-                py = ball.act(system, y, k)
+        row_x = rows[x] or ball.row(system, x)
+        row_y = rows[y] or ball.row(system, y)
+        for k in range(len(row_x)):
+            px, py = row_x[k], row_y[k]
             if px == py:  # one element, in the ball or not: no pair
                 continue
             if px < 0 or py < 0:  # a product left the ball

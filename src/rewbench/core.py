@@ -59,8 +59,8 @@ def is_zero(x: Element) -> bool:
 def codepoint_key(x: Element) -> tuple[int, str]:
     """Sort key: zero first, then words by length, then by code point.
 
-    Unlike ``ShortlexOrder.key`` it ignores the letter precedence, so
-    an order built on it is the same under every orientation.
+    Unlike ``ShortlexOrder`` it ignores the letter precedence, so an
+    order built on it is the same under every orientation.
     """
     return (-1, "") if x is ZERO else (len(x), x)
 
@@ -130,11 +130,6 @@ class ShortlexOrder:
         # length compare as their rank sequences do
         self._rank_table = {ord(ch): chr(i)
                             for i, ch in enumerate(alphabet.precedence)}
-
-    def key(self, word: Element) -> tuple[int, str]:
-        if word is ZERO:
-            return -1, ""
-        return len(word), word.translate(self._rank_table)
 
     def less(self, u: Element, v: Element) -> bool:
         if u is ZERO or v is ZERO:
@@ -283,7 +278,6 @@ class RewritingSystem:
                 raise ValueError(f"rule {rule} does not decrease shortlex "
                                  f"with precedence {alphabet.precedence!r}")
         self.matcher = FactorMatcher(alphabet.letters, [r.lhs for r in self.rules])
-        self.max_lhs_len = self.matcher.max_len
 
     def __repr__(self) -> str:
         body = ", ".join(str(r) for r in self.rules)
@@ -334,14 +328,14 @@ def normalize(system: RewritingSystem, word: Element) -> Element:
     """Rewrites to a fixed point under the deterministic strategy.
 
     Every rule decreases shortlex, so this always halts.  After a
-    rewrite at position p no match can start before p - max_lhs_len + 1,
-    so the scan resumes there instead of at 0.
+    rewrite at position p no match can start before p - L + 1, with L
+    the longest lhs, so the scan resumes there instead of at 0.
     """
     if word is ZERO:
         return ZERO
     matcher = system.matcher
     rules = system.rules
-    back = system.max_lhs_len - 1
+    back = matcher.max_len - 1
     pos = 0
     while True:
         hit = matcher.first_match(word, pos)

@@ -80,9 +80,10 @@ def unit_witness_search(system: RewritingSystem, w: str,
     first, so ties break deterministically.  States longer than
     ``max_len`` or equal to ZERO are pruned.  For a complete system the
     state space is exact; otherwise a returned pair is still verified
-    but exhaustion proves nothing.
+    but exhaustion proves nothing.  A letter of ``w`` outside the
+    alphabet is a ValueError.
     """
-    start = normalize(system, w)
+    start = normalize(system, system.alphabet.check_word(w))
     if is_zero(start):
         raise ValueError(f"{w!r} is zero; no context can reach 1")
     if start == "":

@@ -229,6 +229,93 @@ def brute_normal_forms(precedence: str, forbidden: list[str],
     return [w for w in words if not any(f in w for f in forbidden)]
 
 
+
+def brute_probe(system: RewritingSystem, seed: tuple[Element, Element],
+                radius: int) -> dict:
+    """A congruence probe from its definition, shaped like
+    ``dataclasses.asdict`` of the package's probe result.
+
+    The ball is ``brute_normal_forms`` of length <= radius, plus ZERO
+    when a rule or a seed side is zero; products come from
+    ``rightmost_reduce``.  Pairs leave a FIFO queue, starting with the
+    reduced seed.  A pair already in one class is skipped; otherwise
+    its two classes, plain sets, become one, and each move (by letter
+    in declaration order, left before right) multiplies both sides.
+    Equal products give nothing, a product outside the ball counts one
+    truncation, and a product pair already in one class is not queued.
+    The probe stops once 1 and ZERO share a class; its trace is the
+    path between them in the forest of joins, found by BFS.
+    """
+    def inside(e: Element) -> bool:
+        return e is ZERO or len(e) <= radius
+
+    def times(e: Element, side: str, g: str) -> Element:
+        if e is ZERO:
+            return ZERO
+        return rightmost_reduce(system, g + e if side == "L" else e + g)
+
+    u0, v0 = (e if e is ZERO else rightmost_reduce(system, e) for e in seed)
+    assert inside(u0) and inside(v0), "seed outside the ball"
+    has_zero = (u0 is ZERO or v0 is ZERO
+                or any(rule.rhs is ZERO for rule in system.rules))
+    words = brute_normal_forms(system.alphabet.precedence,
+                               [rule.lhs for rule in system.rules], radius)
+    universe = len(words) + has_zero
+    moves = [(side, g) for g in system.alphabet.letters for side in "LR"]
+    classes: dict[Element, set] = {}  # absent: a class of its own
+
+    def together(x: Element, y: Element) -> bool:
+        return y in classes.get(x, {x})
+
+    joins: list[tuple[Element, Element, tuple]] = []
+    truncated = 0
+    collapsed = False
+    queue = deque([(u0, v0, ())]) if u0 != v0 else deque()
+    while queue:
+        x, y, path = queue.popleft()
+        if together(x, y):
+            continue
+        joins.append((x, y, path))
+        joined = classes.get(x, {x}) | classes.get(y, {y})
+        for e in joined:
+            classes[e] = joined
+        if together("", ZERO):
+            collapsed = True
+            break
+        for side, g in moves:
+            px, py = times(x, side, g), times(y, side, g)
+            if px == py:
+                continue
+            if not (inside(px) and inside(py)):
+                truncated += 1
+            elif not together(px, py):
+                queue.append((px, py, path + ((side, g),)))
+
+    trace = None
+    if collapsed:
+        links: dict[Element, list] = {}
+        for join in joins:
+            links.setdefault(join[0], []).append((join[1], join))
+            links.setdefault(join[1], []).append((join[0], join))
+        reached: dict[Element, Optional[tuple]] = {"": None}
+        frontier: deque[Element] = deque([""])
+        while frontier:
+            node = frontier.popleft()
+            for other, join in links.get(node, ()):
+                if other not in reached:
+                    reached[other] = (node, join)
+                    frontier.append(other)
+        steps = []
+        node = ZERO
+        while reached[node] is not None:
+            node, (x, y, path) = reached[node]
+            steps.append({"left": x, "right": y, "moves": path})
+        trace = {"seed": (u0, v0), "path": tuple(reversed(steps))}
+    return {"collapsed": collapsed, "trace": trace,
+            "class_count": universe - len(joins), "truncated": truncated,
+            "merges": len(joins), "universe_size": universe,
+            "radius": radius}
+
 def count_avoiding(letters: str, forbidden: list[str],
                    max_len: int) -> list[int]:
     """Words per length containing no forbidden factor, by windowed DP.

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from oracles import brute_normal_forms, brute_probe
 from rewbench import congruence
 from rewbench.catalog import get_entry, list_catalog
 from rewbench.congruence import (
@@ -182,40 +183,91 @@ def test_frozen_probe_results():
     assert digest.hexdigest() == FROZEN_PROBES_DIGEST
 
 
-AB_AC = orient(Presentation(Alphabet("abc"), (("ab", "ac"),)), "abc")
-
-
 def _fresh(name):
+    """A system of its own, with no probe ball yet."""
+    if name == "ab=ac":
+        return orient(Presentation(Alphabet("abc"), (("ab", "ac"),)), "abc")
+    if name == "ab=ba,aa=0":
+        return orient(Presentation(Alphabet("ab"),
+                                   (("ab", "ba"), ("aa", ZERO))), "ab")
     entry = get_entry(name)
     return orient(entry.presentation, entry.precedence)
 
 
+AB_AC = _fresh("ab=ac")
+
+
 @pytest.mark.parametrize("name", [e.name for e in list_catalog()] + ["ab=ac"])
-def test_ball_table_entries_are_products(name):
-    system = AB_AC if name == "ab=ac" else get_entry(name).system
+def test_ball_table_entries_are_products(name, monkeypatch):
+    system = _fresh(name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(congruence, "product", counted)
     probe_all_pairs(system, 2, 6)
     ball = congruence._ball(system, 6)
     assert ball.size == growth_series(system, 6).total() + 1
     assert ball.elements[:2] == ["", ZERO]
     assert all(ball.ids[e] == i for i, e in enumerate(ball.elements))
-    assert len(ball.table) == ball.width * len(ball.elements)
+    assert len(ball.rows) == len(ball.elements)
     # outside ids are ~0, ~1, ... one per product, so with the check
     # below two outside entries are equal exactly when their products are
     assert sorted(ball.outside.values()) == list(range(-len(ball.outside), 0))
     filled = 0
-    for j, entry in enumerate(ball.table):
-        if entry is congruence.UNKNOWN:
+    for e, row in zip(ball.elements, ball.rows):
+        if row is None:
             continue
         filled += 1
-        side, g = ball.moves[j % ball.width]
-        e = ball.elements[j // ball.width]
-        p = product(system, g, e) if side == "L" else product(system, e, g)
-        if entry < 0:
-            assert not is_zero(p) and len(p) > 6
-            assert ball.outside[p] == entry
-        else:
-            assert ball.elements[entry] == p
+        assert len(row) == len(ball.moves)
+        for (side, g), entry in zip(ball.moves, row):
+            p = product(system, g, e) if side == "L" else product(system, e, g)
+            if entry < 0:
+                assert not is_zero(p) and len(p) > 6
+                assert ball.outside[p] == entry
+            else:
+                assert ball.elements[entry] == p
     assert filled > 0
+    # a row is made whole, one product per move, and only once
+    assert len(calls) == len(ball.moves) * filled
+
+
+# system -> (seed length, radii): seeds are every pair of distinct
+# normal forms of at most that length, plus ZERO.  Keep {ab = ac}: it is
+# the only system here on which counting a truncation before the
+# equal-product check changes a result.
+ORACLE_PLAN = {
+    "M1": (1, range(1, 7)),
+    "M2": (1, range(1, 7)),
+    "M3": (1, range(1, 7)),
+    "dehn-example": (1, range(1, 7)),
+    "ab=ba,aa=0": (2, range(2, 8)),
+    "ab=ac": (2, range(2, 8)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PLAN))
+def test_probe_matches_brute_force_oracle(name):
+    system = _fresh(name)
+    seed_len, radii = ORACLE_PLAN[name]
+    seeds = brute_normal_forms(system.alphabet.precedence,
+                               [r.lhs for r in system.rules], seed_len)
+    seeds.append(ZERO)
+    for radius in radii:
+        for i, u in enumerate(seeds):
+            for v in seeds[i + 1:]:
+                got = dataclasses.asdict(probe_congruence(system, (u, v), radius))
+                assert got == brute_probe(system, (u, v), radius), (u, v, radius)
+
+
+def test_probe_rejects_a_letter_outside_the_alphabet():
+    m2 = get_entry("M2").system
+    for seed in (("x", "a"), ("a", "ax"), (ZERO, "x")):
+        with pytest.raises(ValueError,
+                           match="^letter 'x' not in alphabet 'abcd'$"):
+            probe_congruence(m2, seed, 3)
 
 
 def test_products_outside_the_ball_are_compared_not_identified():
@@ -242,7 +294,7 @@ def test_ball_is_counted_once_and_its_products_reused(monkeypatch):
     monkeypatch.setattr(congruence, "product",
                         counted("product", congruence.product))
     first = probe_congruence(system, ("a", "aa"), 9)
-    # never more than the 2 * 2|A| products per merge made without a table
+    # never more than the 2 * 2|A| products per merge made without rows
     assert 0 < counts["product"] <= 4 * 4 * first.merges
     made = counts["product"]
     assert probe_congruence(system, ("a", "aa"), 9) == first

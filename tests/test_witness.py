@@ -80,6 +80,12 @@ def test_search_rejects_zero():
         unit_witness_search(system, "aab")
 
 
+def test_search_rejects_a_letter_outside_the_alphabet():
+    system = get_entry("M2").system
+    with pytest.raises(ValueError, match="^letter 'x' not in alphabet 'abcd'$"):
+        unit_witness_search(system, "x")
+
+
 def test_search_returns_none_when_budget_too_small():
     system = get_entry("dehn-example").system
     assert unit_witness_search(system, "ca", max_len=12, max_nodes=3) is None
