@@ -573,6 +573,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             code, error = EXIT_INPUT, str(exc)
         except WorkerDied:
             error = "a worker process died"
+        except MemoryError:
+            error = "out of memory"
         except KeyboardInterrupt:
             error = "interrupted"
     # each distinct warning once: complete orients twice, dehn and

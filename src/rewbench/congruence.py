@@ -6,11 +6,14 @@ over the ids of a ``_Ball`` and a FIFO worklist of derived pairs.  The
 ball is built once per system and radius and kept on the system while
 it lives; an element's row of one-letter products is made when a probe
 first expands it.  Each successful union is an event that remembers
-how its pair was derived from the seed, so a collapse (1 falling
-together with 0) comes with a replayable certificate.  Products that
-leave the ball get negative ids, made once like the others; they are
-counted, not followed, so an undetermined verdict with zero
-truncations is a proof that the quotient stays nontrivial on the ball.
+how its pair was derived from the seed, and its offset is the link time
+of the root it puts under another, so a collapse (1 falling together
+with 0) comes with a replayable certificate read off those links.  No
+pair is queued after one whose roots are those of 1 and 0: FIFO order
+never pops it.  Products that leave the ball get negative ids, made
+once like the others; they are counted, not followed, so an
+undetermined verdict with zero truncations is a proof that the
+quotient stays nontrivial on the ball.
 """
 
 from __future__ import annotations
@@ -177,12 +180,14 @@ def probe_congruence(system: RewritingSystem, seed: tuple[Element, Element],
     rows = ball.rows
     parent: dict[int, int] = {}  # roots are left out
     size: dict[int, int] = {}
+    link: dict[int, int] = {}  # id -> offset of the merge that gave it a parent
     # Queue entries and events are four flat ints each: x, y, the offset
     # in ``events`` of the merge the pair came from and a move index.
     events: list[int] = []
     queue = deque((ball.id(u0), ball.id(v0), -1, -1))
     pop = queue.popleft
     root0, root1 = 0, 1  # roots of "" and ZERO
+    certain = False  # a queued pair joins root0 and root1: queue no more
     truncated = 0
     trace = None
     while queue:
@@ -201,13 +206,15 @@ def probe_congruence(system: RewritingSystem, seed: tuple[Element, Element],
         if sx < sy:
             rx, ry = ry, rx
         parent[ry] = rx
+        link[ry] = idx
         size[rx] = sx + sy
         if root0 == ry:
             root0 = rx
         if root1 == ry:
             root1 = rx
         if root0 == root1:
-            trace = CollapseTrace((u0, v0), _collapse_path(ball, events))
+            trace = CollapseTrace((u0, v0),
+                                  _collapse_path(ball, events, parent, link))
             break
         row_x = rows[x] or ball.row(system, x)
         row_y = rows[y] or ball.row(system, y)
@@ -217,53 +224,59 @@ def probe_congruence(system: RewritingSystem, seed: tuple[Element, Element],
                 continue
             if px < 0 or py < 0:  # a product left the ball
                 truncated += 1
-                continue
-            # Unions only grow: a pair joined now would be skipped later.
-            rx = px
-            while rx in parent:
-                rx = parent[rx]
-            ry = py
-            while ry in parent:
-                ry = parent[ry]
-            if rx != ry:
-                queue.extend((px, py, idx, k))
+            elif not certain:
+                # Unions only grow: a pair joined now would be skipped later.
+                rx = px
+                while rx in parent:
+                    rx = parent[rx]
+                ry = py
+                while ry in parent:
+                    ry = parent[ry]
+                if rx != ry:
+                    queue.extend((px, py, idx, k))
+                    certain = rx in (root0, root1) and ry in (root0, root1)
     merges = len(events) // 4
     return ProbeResult(trace is not None, trace, universe_size - merges,
                        truncated, merges, universe_size, radius)
 
 
-def _collapse_path(ball: _Ball, events: list[int]) -> tuple[TraceStep, ...]:
+def _collapse_path(ball: _Ball, events: list[int], parent: dict[int, int],
+                   link: dict[int, int]) -> tuple[TraceStep, ...]:
     """Unique path from "" to ZERO in the forest of merges, as trace steps.
 
-    A merge is the four ints of ``events`` from its offset on."""
-    forest: dict[int, list[int]] = {}  # id -> offsets of its merges
-    for idx in range(0, len(events), 4):
-        forest.setdefault(events[idx], []).append(idx)
-        forest.setdefault(events[idx + 1], []).append(idx)
-    prev = {0: -1}  # id -> offset of the merge that reached it
-    frontier: deque[int] = deque([0])
-    while frontier:
-        node = frontier.popleft()
-        if node == 1:
-            break
-        for idx in forest[node]:
-            other = events[idx] if events[idx + 1] == node else events[idx + 1]
-            if other not in prev:
-                prev[other] = idx
-                frontier.append(other)
+    A merge is the four ints of ``events`` from its offset on, and
+    ``link[r]`` that of the merge that put root r under ``parent[r]``.
+    Two ids of one class are connected through the latest link on their
+    union-find paths to where those meet, then on each side through
+    earlier merges: the explanation step of proof-producing congruence
+    closure (Nieuwenhuis and Oliveras, RTA 2005)."""
+    def up(i: int) -> list[int]:  # i and its ancestors, log2(ball) at most
+        ids = [i]
+        while ids[-1] in parent:
+            ids.append(parent[ids[-1]])
+        return ids
+
     path: list[TraceStep] = []
-    node = 1
-    while node != 0:
-        idx = prev[node]
-        x, y, parent_idx, move = events[idx:idx + 4]
-        node = x if y == node else y
-        moves: list[Move] = []
-        while move >= 0:
-            moves.append(ball.moves[move])
-            parent_idx, move = events[parent_idx + 2:parent_idx + 4]
-        path.append(TraceStep(ball.elements[x], ball.elements[y],
-                              tuple(reversed(moves))))
-    path.reverse()
+    todo = [(0, 1)]  # id pairs to connect, or (offset, -1) for a merge
+    while todo:
+        a, b = todo.pop()
+        if b < 0:
+            x, y, parent_idx, move = events[a:a + 4]
+            moves: list[Move] = []
+            while move >= 0:
+                moves.append(ball.moves[move])
+                parent_idx, move = events[parent_idx + 2:parent_idx + 4]
+            path.append(TraceStep(ball.elements[x], ball.elements[y],
+                                  tuple(reversed(moves))))
+        elif a != b:
+            up_a, up_b = up(a), up(b)
+            while up_a[-1:] == up_b[-1:]:  # down to where they meet
+                up_a.pop(), up_b.pop()
+            n = max(up_a + up_b, key=link.__getitem__)
+            x, y = events[link[n]], events[link[n] + 1]
+            if (n in up(x)) != (n in up_a):  # x goes on a's side
+                x, y = y, x
+            todo += (y, b), (link[n], -1), (a, x)
     return tuple(path)
 
 

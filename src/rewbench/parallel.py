@@ -50,8 +50,8 @@ def parallel_map(fn: Callable[[Any, T], R], shared: Any,
 
     Starts at most ``min(jobs, os.cpu_count(), len(tasks))`` workers;
     with one, everything runs in this process with no pool and no
-    pickling.  Tasks go out one at a time, which balances uneven tasks
-    best; per-task overhead is small next to a profile class or a probe.
+    pickling.  Tasks go out one at a time to balance uneven tasks, at one
+    pool round trip each: about as long as a warm probe (0.2-0.3 ms).
     Raises ``WorkerDied`` if a worker process ends abruptly.
     """
     workers = min(jobs, os.cpu_count() or 1, len(tasks))

@@ -192,6 +192,23 @@ def _random_presentation(rng: random.Random) -> tuple[Presentation, str]:
     return Presentation(Alphabet(letters), tuple(relations)), precedence
 
 
+def complete_random_systems(seed: int, count: int) -> list:
+    """The orientations of ``count`` presentations from
+    ``_random_presentation`` (``random.Random(seed)``) whose critical
+    pairs all join; unorientable ones are left out."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        p, precedence = _random_presentation(rng)
+        try:
+            system = orient(p, precedence)
+        except UnorientableRelationError:
+            continue
+        if check_local_confluence(system).locally_confluent:
+            systems.append(system)
+    return systems
+
+
 def completion_digests() -> dict[str, str]:
     catalog = [get_entry(f"M{n}") for n in range(10, 42)]
     rng = random.Random(1018)

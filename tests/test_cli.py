@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -519,6 +523,26 @@ def test_worker_crash_or_interrupt_exits_2_without_traceback(
     code, out, err = run(capsys, "--jobs", "2", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path):
+    # a free monoid's ball of radius 16 needs about 90 MB; the child alone
+    # gets a 64 MB address space, so the probe fails to allocate
+    resource = pytest.importorskip("resource")
+    cap = 64 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    path = tmp_path / "free.rws"
+    path.write_text("generators: a b\nrelations:\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "rewbench.cli", "--file", str(path), "probe",
+         "a", "b", "--radius", "16"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) \
+        == (2, "", "error: out of memory\n")
 
 
 _TRIVIAL = "generators: a b\nrelations:\nab = ab\nba = ab\n1 = 1\nab = ab\n"

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+import make_golden
 from oracles import brute_normal_forms, brute_probe
 from rewbench import congruence
 from rewbench.catalog import get_entry, list_catalog
@@ -260,6 +261,37 @@ def test_probe_matches_brute_force_oracle(name):
             for v in seeds[i + 1:]:
                 got = dataclasses.asdict(probe_congruence(system, (u, v), radius))
                 assert got == brute_probe(system, (u, v), radius), (u, v, radius)
+
+
+def test_probe_matches_brute_force_oracle_after_collapse_is_certain():
+    # dehn-example's heaviest seed pair: about a third of the pairs its
+    # probe derives come after one that will join 1 and ZERO
+    system = _fresh("dehn-example")
+    got = dataclasses.asdict(probe_congruence(system, ("ac", "bc"), 7))
+    assert got["collapsed"]
+    assert got == brute_probe(system, ("ac", "bc"), 7)
+
+
+def test_probe_matches_brute_force_oracle_on_random_presentations():
+    # the complete systems among 200 random presentations: unlike the
+    # catalog's M_n they have overlaps, and some have no zero rule
+    systems = make_golden.complete_random_systems(20261020, 200)
+    assert len(systems) == 89
+    longer_paths = 0
+    for system in systems:
+        for radius, seed_len in ((2, 2), (3, 2), (4, 1)):
+            seeds = brute_normal_forms(system.alphabet.precedence,
+                                       [r.lhs for r in system.rules], seed_len)
+            seeds.append(ZERO)
+            for i, u in enumerate(seeds):
+                for v in seeds[i + 1:]:
+                    got = dataclasses.asdict(
+                        probe_congruence(system, (u, v), radius))
+                    assert got == brute_probe(system, (u, v), radius), \
+                        (system, u, v, radius)
+                    longer_paths += got["collapsed"] and \
+                        len(got["trace"]["path"]) > 1
+    assert longer_paths > 50
 
 
 def test_probe_rejects_a_letter_outside_the_alphabet():

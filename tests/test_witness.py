@@ -1,5 +1,6 @@
 import pytest
 
+import make_golden
 from oracles import brute_context_length, brute_normal_forms, rightmost_reduce
 from rewbench.catalog import get_entry
 from rewbench.core import ZERO, is_zero, normalize
@@ -112,3 +113,22 @@ def test_search_witness_length_matches_brute_force_oracle(name):
         assert rightmost_reduce(system, pair.x + w + pair.y) == "", w
         assert len(pair.x) + len(pair.y) == brute_context_length(
             system, w, 6), w
+
+
+def test_search_witness_length_matches_oracle_on_random_presentations():
+    # every state on the way to a context of at most 4 letters has at
+    # most len(w) + 4 letters, so that bound on states loses none of them
+    found = 0
+    for system in make_golden.complete_random_systems(20261020, 200):
+        for w in brute_normal_forms(system.alphabet.precedence,
+                                    [r.lhs for r in system.rules], 2):
+            pair = unit_witness_search(system, w, max_len=len(w) + 4)
+            length = None if pair is None else len(pair.x) + len(pair.y)
+            expected = brute_context_length(system, w, 4)
+            if expected is None:
+                assert length is None or length > 4, (system, w)
+            else:
+                assert length == expected, (system, w)
+                assert rightmost_reduce(system, pair.x + w + pair.y) == ""
+                found += 1
+    assert found > 100
